@@ -7,7 +7,7 @@
 //! polymg-cli stats   [--addr A | --port-file F] [--shutdown] # query a server
 //! polymg-cli <benchmark> [--variant naive|opt|opt+|dtile-opt+]
 //!            [--n N] [--levels L] [--tiles A,B[,C]] [--gsrb]
-//!            [--threads N] [--no-specialize] [--fast-math] [--no-simd]
+//!            [--threads N] [--fast-math]
 //!            [--emit dump|dot|c|stats] [--dump-schedule] [-o FILE]
 //!            [--profile OUT.json [--iters N]]
 //!            [--chaos-seed N] [--chaos-rate R]
@@ -44,7 +44,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: polymg-cli <V-2D[-a-b-c]|W-3D[-a-b-c]|…> [--variant naive|opt|opt+|dtile-opt+]\n\
          \x20      [--n N] [--levels L] [--tiles A,B[,C]] [--gsrb] [--threads N]\n\
-         \x20      [--no-specialize] [--fast-math] [--no-simd]\n\
+         \x20      [--fast-math]\n\
          \x20      [--emit dump|dot|c|stats] [--dump-schedule] [-o FILE]\n\
          \x20      [--profile OUT.json [--iters N]] [--chaos-seed N] [--chaos-rate R]"
     );
@@ -102,8 +102,6 @@ fn main() {
     let mut profile_iters = 2usize;
     let mut dump_schedule = false;
     let mut threads: Option<usize> = None;
-    let mut specialize = true;
-    let mut simd = true;
     let mut fast_math = false;
     let mut chaos_seed: Option<u64> = None;
     let mut chaos_rate = 0.01f64;
@@ -146,8 +144,6 @@ fn main() {
                 i += 1;
                 threads = Some(args[i].parse().unwrap_or_else(|_| usage()));
             }
-            "--no-specialize" => specialize = false,
-            "--no-simd" => simd = false,
             "--fast-math" => fast_math = true,
             "--gsrb" => gsrb = true,
             "--dump-schedule" => dump_schedule = true,
@@ -195,8 +191,6 @@ fn main() {
     if let Some(t) = threads {
         opts.threads = t;
     }
-    opts.specialize = specialize;
-    opts.simd = simd;
     opts.fast_math = fast_math;
     let chaos = chaos_seed.map(|s| polymg::ChaosOptions::new(s, chaos_rate));
     opts.chaos = chaos; // stripped by compile — a runtime property only

@@ -1,8 +1,10 @@
-//! `tier-probe` — microbenchmark of one stencil stage across kernel tiers,
-//! bypassing the multigrid harness entirely: one 2-D/3-D constant-coefficient
-//! stencil over a dense grid, timed per `(tier, xblock)` selection. This is
-//! the tool for answering "is the lane tier's codegen actually wider" and
-//! "does blocking pay at which row length" without cycle-level noise.
+//! `tier-probe` — microbenchmark of one stencil stage across kernel tiers
+//! (lane-safe vs fast-math, flat vs cache-blocked), bypassing the
+//! multigrid harness entirely: one 2-D/3-D constant-coefficient stencil
+//! over a dense grid, timed per `(tier, xblock)` selection. This is the
+//! tool for answering "does fast-math pay on this host's ISA" and "does
+//! blocking pay at which row length" without cycle-level noise
+//! (`GMG_SIMD_ISA` pins the ISA branch).
 //!
 //! ```text
 //! tier-probe [--n N] [--reps R] [--dims 2|3] [--wide]
@@ -126,7 +128,6 @@ fn main() {
     let points = (n as f64).powi(ndims as i32);
 
     let sels: Vec<(String, KernelSel)> = vec![
-        ("scalar".into(), KernelSel::scalar(tag)),
         (
             "lane_safe".into(),
             KernelSel {

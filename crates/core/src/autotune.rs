@@ -55,10 +55,9 @@ impl std::error::Error for TuneError {}
 /// `tile_sizes`, `group_limit` and `smooth_band` are *schedule-only* knobs:
 /// they change execution order and storage, never the computed values, so a
 /// tuned plan stays bitwise-identical to the default one. `tier` selects
-/// the specialized-kernel lowering; [`KernelTier::Scalar`] and
-/// [`KernelTier::LaneSafe`] are bitwise with the generic interpreter, while
-/// [`KernelTier::FastMath`] reassociates and is only legal where the caller
-/// already opted into fast-math numerics.
+/// the row kernels' accumulation; [`KernelTier::LaneSafe`] is bitwise with
+/// the generic interpreter, while [`KernelTier::FastMath`] reassociates and
+/// is only legal where the caller already opted into fast-math numerics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TuneConfig {
     pub tile_sizes: Vec<i64>,
@@ -90,20 +89,7 @@ impl TuneConfig {
         o.tile_sizes = self.tile_sizes.clone();
         o.group_limit = self.group_limit;
         o.dtile_band = self.smooth_band;
-        match self.tier {
-            KernelTier::Scalar => {
-                o.simd = false;
-                o.fast_math = false;
-            }
-            KernelTier::LaneSafe => {
-                o.simd = true;
-                o.fast_math = false;
-            }
-            KernelTier::FastMath => {
-                o.simd = true;
-                o.fast_math = true;
-            }
-        }
+        o.fast_math = self.tier == KernelTier::FastMath;
         o
     }
 }
@@ -531,13 +517,15 @@ impl TunedStore {
                         KernelTier::LaneSafe
                     }
                 }
-                Some(v) => {
-                    let label = v.as_str().ok_or_else(|| fail("tier must be a string"))?;
-                    KernelTier::ALL
+                Some(v) => match v.as_str().ok_or_else(|| fail("tier must be a string"))? {
+                    // files written while a scalar tier existed: it computed
+                    // the same bits as the lane-safe tier
+                    "scalar" => KernelTier::LaneSafe,
+                    label => KernelTier::ALL
                         .into_iter()
                         .find(|t| t.label() == label)
-                        .ok_or_else(|| fail("unknown kernel tier"))?
-                }
+                        .ok_or_else(|| fail("unknown kernel tier"))?,
+                },
             };
             let source = match item.get("source") {
                 None => TuneSource::Sweep,
@@ -666,24 +654,24 @@ mod tests {
             tile_sizes: vec![16, 128],
             group_limit: 4,
             smooth_band: 2,
-            tier: KernelTier::Scalar,
+            tier: KernelTier::LaneSafe,
         };
         let o = cfg.apply(&base);
         assert_eq!(o.tile_sizes, vec![16, 128]);
         assert_eq!(o.group_limit, 4);
         assert_eq!(o.dtile_band, 2);
-        assert!(!o.simd && !o.fast_math);
+        assert!(!o.fast_math);
         assert!(o.intra_group_reuse); // rest preserved
 
-        // tier mapping covers all three levels
+        // tier mapping covers both levels
         let fm = TuneConfig {
             tier: KernelTier::FastMath,
             ..cfg.clone()
         }
         .apply(&base);
-        assert!(fm.simd && fm.fast_math);
+        assert!(fm.fast_math);
         let ls = TuneConfig::new(vec![16, 128], 4).apply(&base);
-        assert!(ls.simd && !ls.fast_math);
+        assert!(!ls.fast_math);
         assert_eq!(ls.dtile_band, 4, "TuneConfig::new keeps the preset band");
     }
 
@@ -759,7 +747,7 @@ mod tests {
                 tile_sizes: vec![8, 64],
                 group_limit: 2,
                 smooth_band: 8,
-                tier: KernelTier::Scalar,
+                tier: KernelTier::FastMath,
             },
             metric: 0.5,
             source: TuneSource::Online,
@@ -784,7 +772,7 @@ mod tests {
             (TuneSource::Online, 17, u64::MAX)
         );
         assert_eq!(online.config.smooth_band, 8);
-        assert_eq!(online.config.tier, KernelTier::Scalar);
+        assert_eq!(online.config.tier, KernelTier::FastMath);
 
         // pre-provenance store files carry none of the new keys: band,
         // tier, source, evals and seed all take their legacy defaults
@@ -805,6 +793,18 @@ mod tests {
             .lookup(0x2a, 2)
             .unwrap()
             .fast_math());
+    }
+
+    #[test]
+    fn legacy_scalar_tier_loads_as_lane_safe() {
+        // store files from when a scalar tier existed: same bits as lane-safe
+        let legacy = "{\"tuned\": [{\"fingerprint\": \"2a\", \"ndims\": 2, \
+                      \"tile_sizes\": [8, 64], \"group_limit\": 2, \"metric\": 1.0, \
+                      \"tier\": \"scalar\"}]}";
+        let store = TunedStore::from_json(legacy).unwrap();
+        let e = store.lookup(0x2a, 2).unwrap();
+        assert_eq!(e.config.tier, KernelTier::LaneSafe);
+        assert!(!e.fast_math());
     }
 
     #[test]

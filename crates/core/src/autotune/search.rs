@@ -21,7 +21,7 @@
 //! The genome covers the paper's two axes plus two new ones:
 //! `smooth_band` (the diamond-tile time-band height — schedule-only, like
 //! tiles and grouping) and the kernel tier. The fast-math tier reassociates
-//! and therefore changes results bitwise, so it only enters the space when
+//! and therefore changes results bitwise, so the tier axis only exists when
 //! the caller sets [`SearchParams::allow_fast_math`] — the server does that
 //! only for sessions that already opted in.
 //!
@@ -101,11 +101,11 @@ fn axes_for(ndims: usize, allow_fast_math: bool) -> Result<Vec<Axis>, TuneError>
     };
     axes.push(Axis::Group(GROUP_LIMITS.to_vec()));
     axes.push(Axis::Band(SMOOTH_BANDS.to_vec()));
-    let mut tiers = vec![KernelTier::Scalar, KernelTier::LaneSafe];
+    // the tier axis is the fast-math choice: it exists only where
+    // fast-math numerics are allowed
     if allow_fast_math {
-        tiers.push(KernelTier::FastMath);
+        axes.push(Axis::Tier(KernelTier::ALL.to_vec()));
     }
-    axes.push(Axis::Tier(tiers));
     Ok(axes)
 }
 
@@ -616,12 +616,12 @@ mod tests {
 
     #[test]
     fn exhausts_small_lattices_without_duplicates() {
-        // generous budget over the full 2-D extended lattice:
-        // 4·4·5·4·2 = 640 points, budget 1000 ⇒ must visit each point at
-        // most once and stop at 640
+        // generous budget over the full 2-D extended lattice (no tier axis
+        // without fast-math): 4·4·5·4 = 320 points, budget 1000 ⇒ must
+        // visit each point at most once and stop at 320
         let params = SearchParams::for_rank(2).unwrap().with_budget(1000);
         let out = search(2, &params, surface).unwrap();
-        assert_eq!(out.evals, 640);
+        assert_eq!(out.evals, 320);
         let mut seen = std::collections::BTreeSet::new();
         for s in &out.trajectory {
             assert!(seen.insert(format!("{:?}", s.config)), "duplicate candidate");

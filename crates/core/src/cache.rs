@@ -110,10 +110,6 @@ pub fn fingerprint(
     h.bool(options.coeff_factoring);
     h.tag(0x0e);
     h.u64(options.threads as u64);
-    h.tag(0x0f);
-    h.bool(options.specialize);
-    h.tag(0x10);
-    h.bool(options.simd);
     // `fast_math` changes the numerical results a plan produces (the
     // reassociating tier), so unlike `chaos` it MUST split the cache: a
     // fast-math run and its bitwise twin are different plans.
@@ -475,8 +471,6 @@ mod tests {
                 Box::new(|o| o.coeff_factoring = !o.coeff_factoring),
             ),
             ("threads", Box::new(|o| o.threads += 1)),
-            ("specialize", Box::new(|o| o.specialize = !o.specialize)),
-            ("simd", Box::new(|o| o.simd = !o.simd)),
             ("fast_math", Box::new(|o| o.fast_math = !o.fast_math)),
             (
                 "mixed_precision",
@@ -668,7 +662,7 @@ mod tests {
         /// fingerprint, and equal option sets always agree.
         #[test]
         fn perturbed_options_never_alias(
-            field in 0usize..16,
+            field in 0usize..14,
             delta in 1u32..9,
         ) {
             let p = tiny_pipeline("prop", 63);
@@ -688,10 +682,8 @@ mod tests {
                 8 => o.dtile_band += d,
                 9 => o.scratch_quantum += delta as i64,
                 10 => o.coeff_factoring = !o.coeff_factoring,
-                11 => o.specialize = !o.specialize,
-                12 => o.simd = !o.simd,
-                13 => o.fast_math = !o.fast_math,
-                14 => o.mixed_precision = !o.mixed_precision,
+                11 => o.fast_math = !o.fast_math,
+                12 => o.mixed_precision = !o.mixed_precision,
                 _ => o.threads += d,
             }
             prop_assert_ne!(fingerprint(&p, &b, &o), fingerprint(&p, &b, &base));

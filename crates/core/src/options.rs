@@ -87,24 +87,12 @@ pub struct PipelineOptions {
     pub coeff_factoring: bool,
     /// Worker threads for the runtime.
     pub threads: usize,
-    /// Emit specialized unrolled kernels for recognised constant-coefficient
-    /// stencil shapes (see `specialize::classify`). Specialized kernels are
-    /// bitwise-identical to the generic path; this knob exists for A/B
-    /// benchmarking (`--no-specialize`).
-    pub specialize: bool,
-    /// Lower specialized kernels to the explicit f64-lane (SIMD) tier with
-    /// cache blocking of the unit-stride dimension. The default lane-safe
-    /// tier preserves the generic accumulation order per output point, so
-    /// it stays bitwise-identical to the generic path; this knob exists for
-    /// A/B benchmarking (`--no-simd`). Ignored when `specialize` is off.
-    pub simd: bool,
-    /// Select the reassociating lane tier: per-point tap chains are split
-    /// into independent partial sums (and fused where the host supports
-    /// FMA). Results differ from the generic path at round-off level, so
-    /// this is opt-in (`--fast-math`), part of the plan-cache fingerprint,
-    /// and verified by a ULP-bounded differential suite rather than
-    /// bitwise equality. Implies nothing unless `specialize` and `simd`
-    /// are on.
+    /// Select the reassociating row kernels: per-point tap chains are split
+    /// into two partial sums with fused multiply-adds on AVX2/AVX-512
+    /// hosts (the baseline ISA keeps the exact loop). Results differ from
+    /// the generic path at round-off level, so this is opt-in
+    /// (`--fast-math`), part of the plan-cache fingerprint, and verified by
+    /// a ULP-bounded differential suite rather than bitwise equality.
     pub fast_math: bool,
     /// Run pure smoother chains in single precision: the chain's state is
     /// converted f64→f32 once, the smoothing sweeps execute on f32 buffers
@@ -136,8 +124,6 @@ impl PipelineOptions {
             scratch_quantum: 8,
             coeff_factoring: true,
             threads: 0, // 0 = runtime default
-            specialize: true,
-            simd: true,
             fast_math: false,
             mixed_precision: false,
             chaos: None,
@@ -198,12 +184,6 @@ impl PipelineOptions {
         }
         if self.threads > 0 {
             parts.push(format!("th{}", self.threads));
-        }
-        if !self.specialize {
-            parts.push("nospec".to_string());
-        }
-        if !self.simd {
-            parts.push("nosimd".to_string());
         }
         if self.fast_math {
             parts.push("fm".to_string());

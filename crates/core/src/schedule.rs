@@ -81,14 +81,14 @@ pub struct StageExec {
     /// Full-array slot holding the result (`None` for scratch-resident
     /// stages of overlapped groups).
     pub slot: Option<usize>,
-    /// Specialized kernel family selected at lowering time
-    /// ([`KernelImpl::Generic`] = generic tap loop / interpreter).
+    /// Kernel family classified at lowering time — a histogram label; the
+    /// runtime picks the row kernel from the taps.
     pub impl_tag: KernelImpl,
-    /// Implementation tier of the specialized kernel (scalar unrolled vs
-    /// the explicit-lane tiers), also selected at lowering time.
+    /// Accumulation tier of the const-arity row kernels (exact lane-safe or
+    /// reassociating fast-math), from the pipeline's `fast_math` knob.
     pub tier: KernelTier,
-    /// Unit-stride cache-block length for the lane tiers, derived from the
-    /// pipeline's innermost tile extent at lowering.
+    /// Unit-stride cache-block length for the const-arity row kernels,
+    /// derived from the pipeline's innermost tile extent at lowering.
     pub xblock: usize,
 }
 
@@ -306,14 +306,10 @@ pub fn lower(plan: &CompiledPipeline) -> ExecProgram {
             .collect();
         let kernel = kernel_of[sid.0].expect("input stage scheduled for execution");
         let ndims = stage.domain.ndims();
-        let impl_tag = if plan.options.specialize {
-            classify(&kernels[kernel], ndims)
-        } else {
-            KernelImpl::Generic
-        };
-        let tier = KernelTier::select(impl_tag, plan.options.simd, plan.options.fast_math);
+        let impl_tag = classify(&kernels[kernel], ndims);
+        let tier = KernelTier::select(plan.options.fast_math);
         // Unit-stride cache block from the innermost tile extent the planner
-        // already chose (scalar stages ignore it).
+        // already chose (rows off the const-arity table ignore it).
         let xblock = unit_block(*plan.options.tiles_for_rank(ndims).last().expect("rank >= 1"));
         StageExec {
             name: stage.name.clone(),
@@ -827,15 +823,6 @@ mod tests {
         let prog3 = lower_variant(&p3, Variant::Naive, 3);
         let tags3: Vec<KernelImpl> = stages_of(&prog3).iter().map(|s| s.impl_tag).collect();
         assert!(tags3.contains(&KernelImpl::Stencil3D7), "{tags3:?}");
-
-        // the knob turns every tag off
-        let mut opts = PipelineOptions::for_variant(Variant::OptPlus, 2);
-        opts.specialize = false;
-        let plan = compile(&p, &ParamBindings::new(), opts).unwrap();
-        let off = lower(&plan);
-        assert!(stages_of(&off)
-            .iter()
-            .all(|s| s.impl_tag == KernelImpl::Generic));
     }
 
     #[test]
@@ -856,43 +843,25 @@ mod tests {
 
         let p = two_level_pipeline(255);
 
-        // default: every specialized stage is lane-safe, generic stays scalar
+        // default: every stage is lane-safe, tagged or not
         let prog = lower_variant(&p, Variant::OptPlus, 2);
         for st in stages_of(&prog) {
-            if st.impl_tag == KernelImpl::Generic {
-                assert_eq!(st.tier, KernelTier::Scalar, "{}", st.name);
-            } else {
-                assert_eq!(st.tier, KernelTier::LaneSafe, "{}", st.name);
-            }
+            assert_eq!(st.tier, KernelTier::LaneSafe, "{}", st.name);
             // 2-D default tiles are 32x512 -> innermost 512, clamped up to
             // the minimum useful block
             assert_eq!(st.xblock, 1024, "{}", st.name);
         }
         assert!(stages_of(&prog)
             .iter()
-            .any(|s| s.tier == KernelTier::LaneSafe));
-
-        // --no-simd: everything scalar, tags untouched
-        let mut opts = PipelineOptions::for_variant(Variant::OptPlus, 2);
-        opts.simd = false;
-        let plan = compile(&p, &ParamBindings::new(), opts).unwrap();
-        let off = lower(&plan);
-        assert!(stages_of(&off).iter().all(|s| s.tier == KernelTier::Scalar));
-        assert!(stages_of(&off)
-            .iter()
             .any(|s| s.impl_tag != KernelImpl::Generic));
 
-        // --fast-math: specialized stages move to the reassociating tier
+        // --fast-math: every stage moves to the reassociating tier
         let mut opts = PipelineOptions::for_variant(Variant::OptPlus, 2);
         opts.fast_math = true;
         let plan = compile(&p, &ParamBindings::new(), opts).unwrap();
         let fm = lower(&plan);
         for st in stages_of(&fm) {
-            if st.impl_tag == KernelImpl::Generic {
-                assert_eq!(st.tier, KernelTier::Scalar, "{}", st.name);
-            } else {
-                assert_eq!(st.tier, KernelTier::FastMath, "{}", st.name);
-            }
+            assert_eq!(st.tier, KernelTier::FastMath, "{}", st.name);
         }
 
         // tiny innermost tiles clamp up to the minimum block

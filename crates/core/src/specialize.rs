@@ -1,25 +1,24 @@
-//! Lowering-time kernel specialization.
+//! Lowering-time kernel classification.
 //!
 //! The operators that dominate a multigrid cycle — Jacobi relaxation,
 //! residual, full-weighting restriction, bilinear/trilinear interpolation —
 //! are constant-coefficient linear stencils of a handful of fixed shapes.
 //! [`classify`] recognises those shapes on the lowered [`StageKernel`] and
-//! tags the scheduled stage with a [`KernelImpl`]; the runtime then
-//! dispatches the stage to a dedicated fully-unrolled row kernel (arity
-//! known at compile time, vectorization-friendly) instead of the generic
-//! tap loop. Anything unrecognised — non-linear cases, mixed up/down
-//! sampling, wide shapes, high arity — keeps [`KernelImpl::Generic`] and
-//! runs through the existing generic/interpreter paths.
+//! tags the scheduled stage with a [`KernelImpl`]. The tag is a label for
+//! the `kernel_impls` histogram and the schedule dump: the runtime picks a
+//! row kernel from the row itself (tap arity, strides, coefficient taps),
+//! so a constant row of at most [`MAX_SPEC_TAPS`] taps runs the same
+//! const-arity kernel whether it is tagged or [`KernelImpl::Generic`].
 //!
-//! The specialized kernels accumulate taps in exactly the order the generic
-//! loop does, so enabling specialization never changes results (bitwise).
+//! Every exact row kernel accumulates taps in the order the generic loop
+//! does, so the choice never changes results (bitwise).
 
 use crate::plan::{KernelBody, StageKernel};
 use gmg_ir::expr::AxisAccess;
 
-/// Specialized row kernels above this arity would fall into the generic
-/// path's coefficient-factored regime, which sums taps in a different
-/// order; capping here keeps specialization bitwise-transparent.
+/// Largest tap arity of the runtime's const-arity row kernels. Wider rows
+/// run the generic tap loop, which may factor equal coefficients (a
+/// different summation order), so the classifier tags them `Generic`.
 pub const MAX_SPEC_TAPS: usize = 28;
 
 /// The specialized kernel family of a scheduled stage.
@@ -44,50 +43,39 @@ pub enum KernelImpl {
     Interp,
 }
 
-/// The implementation tier a specialized stage executes at, selected at
-/// lowering time *underneath* the [`KernelImpl`] family classification:
-/// the family says *which* unrolled kernel shape fires, the tier says *how*
-/// its inner loop is generated.
+/// The accumulation mode of a stage's row kernel, chosen at lowering from
+/// [`PipelineOptions::fast_math`](crate::PipelineOptions::fast_math) alone.
+/// The row kernel itself is chosen from the row at run time (tap arity,
+/// strides, coefficient taps); the tier only says how a unit-stride row of
+/// the const-arity table accumulates on a vector ISA.
 ///
-/// - [`Scalar`](KernelTier::Scalar): the PR-3 unrolled row kernels (and the
-///   generic tap loop / interpreter — `Generic` stages are always scalar).
-/// - [`LaneSafe`](KernelTier::LaneSafe): explicit-width f64-lane inner
-///   loops with fixed-width array accumulators plus cache blocking of the
-///   unit-stride dimension. Each output point still accumulates its taps in
-///   exactly the generic order (lanes are *output points*, not taps), so
-///   this tier is bitwise-identical to `Scalar` and is the default wherever
-///   specialization fires.
-/// - [`FastMath`](KernelTier::FastMath): the lane kernels with the per-point
-///   tap chain reassociated into independent partial sums (and fused
-///   multiply-add where the host supports it). Results differ from the
-///   generic path at round-off level — gated behind
+/// - [`LaneSafe`](KernelTier::LaneSafe): vector lanes are *output points*,
+///   each accumulating its taps in exactly the generic order, so results
+///   are bitwise-identical to the interpreter. The default.
+/// - [`FastMath`](KernelTier::FastMath): the per-point tap chain is
+///   reassociated into two partial sums with fused multiply-adds. Results
+///   differ from the generic path at round-off level — gated behind
 ///   `PipelineOptions::fast_math` and verified by a ULP-bounded
-///   differential suite instead of bitwise equality.
+///   differential suite instead of bitwise equality. On the baseline ISA
+///   it runs the exact loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum KernelTier {
-    /// Unrolled scalar row kernels (bitwise-identical to generic).
+    /// Generic accumulation order per point (bitwise-identical to generic).
     #[default]
-    Scalar,
-    /// Explicit f64-lane kernels, generic accumulation order per point
-    /// (bitwise-identical to generic).
     LaneSafe,
-    /// Lane kernels with reassociated partial-sum accumulation (round-off
-    /// level differences; ULP-verified).
+    /// Reassociated partial-sum accumulation (round-off level differences;
+    /// ULP-verified).
     FastMath,
 }
 
 impl KernelTier {
-    /// All tiers, indexable by [`KernelTier::index`].
-    pub const ALL: [KernelTier; 3] = [
-        KernelTier::Scalar,
-        KernelTier::LaneSafe,
-        KernelTier::FastMath,
-    ];
+    /// All tiers, indexable by [`KernelTier::index`] − 1.
+    pub const ALL: [KernelTier; 2] = [KernelTier::LaneSafe, KernelTier::FastMath];
 
-    /// Dense index (trace histogram bucket).
+    /// Dense index (trace histogram bucket; bucket 0 counts the cases that
+    /// ran on the generic tap loop or the interpreter).
     pub fn index(self) -> usize {
         match self {
-            KernelTier::Scalar => 0,
             KernelTier::LaneSafe => 1,
             KernelTier::FastMath => 2,
         }
@@ -96,20 +84,14 @@ impl KernelTier {
     /// Short lowercase label (dumps, trace reports).
     pub fn label(self) -> &'static str {
         match self {
-            KernelTier::Scalar => "scalar",
             KernelTier::LaneSafe => "lane_safe",
             KernelTier::FastMath => "fast_math",
         }
     }
 
-    /// The tier a stage executes at, given its family classification and
-    /// the `simd` / `fast_math` knobs: `Generic` stages and `simd = false`
-    /// pipelines stay scalar; specialized stages run lane-safe by default
-    /// and reassociating only when `fast_math` is set.
-    pub fn select(impl_tag: KernelImpl, simd: bool, fast_math: bool) -> KernelTier {
-        if impl_tag == KernelImpl::Generic || !simd {
-            KernelTier::Scalar
-        } else if fast_math {
+    /// The tier of every stage of a pipeline with this `fast_math` knob.
+    pub fn select(fast_math: bool) -> KernelTier {
+        if fast_math {
             KernelTier::FastMath
         } else {
             KernelTier::LaneSafe
@@ -117,29 +99,26 @@ impl KernelTier {
     }
 }
 
-/// Full runtime kernel selection of one scheduled stage: the family, the
-/// tier, and the unit-stride cache-block length (output points per block).
+/// Full runtime kernel selection of one scheduled stage: the family label,
+/// the tier, and the unit-stride cache-block length (output points per
+/// block).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelSel {
+    /// The classified family: a histogram label, not a dispatch input.
     pub impl_tag: KernelImpl,
     pub tier: KernelTier,
     /// Cache-block length of the innermost (unit-stride) dimension for the
-    /// lane tiers, derived from the pipeline's tile geometry at lowering
-    /// ([`unit_block`]). Ignored by the scalar tier.
+    /// const-arity row kernels, derived from the pipeline's tile geometry
+    /// at lowering ([`unit_block`]); 0 keeps rows flat.
     pub xblock: usize,
 }
 
 impl KernelSel {
-    /// The always-correct generic selection.
+    /// The exact, unblocked selection of an unclassified stage.
     pub fn generic() -> KernelSel {
-        KernelSel::scalar(KernelImpl::Generic)
-    }
-
-    /// A scalar-tier selection of a family (the PR-3 dispatch).
-    pub fn scalar(impl_tag: KernelImpl) -> KernelSel {
         KernelSel {
-            impl_tag,
-            tier: KernelTier::Scalar,
+            impl_tag: KernelImpl::Generic,
+            tier: KernelTier::LaneSafe,
             xblock: 0,
         }
     }

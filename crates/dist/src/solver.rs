@@ -315,7 +315,7 @@ impl DistPoisson2D {
                         ],
                         slot: Some(dst),
                         impl_tag: polymg::KernelImpl::Generic,
-                        tier: polymg::KernelTier::Scalar,
+                        tier: polymg::KernelTier::LaneSafe,
                         xblock: 0,
                     },
                 });

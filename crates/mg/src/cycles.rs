@@ -187,7 +187,7 @@ struct Builder<'a> {
     /// Apply the operator as its own stage even without a coefficient —
     /// the structural twin of the coefficient path, used to pin the
     /// variable-coefficient kernels bitwise against the constant
-    /// specialized/SIMD ones (with `a ≡ 1` both emit identical tap lists).
+    /// const-arity ones (with `a ≡ 1` both emit identical tap lists).
     split_op: bool,
 }
 
@@ -451,8 +451,8 @@ pub fn build_cycle_pipeline(cfg: &MgConfig) -> Pipeline {
 /// from a third external input `A` (coarse-grid correction keeps the
 /// constant operator). With `with_coeff = false` the *same structure* is
 /// emitted without the coefficient multiplication — its finest-level
-/// operator stages are plain constant stencils that lower to the
-/// specialized/SIMD kernels, and with `a ≡ 1` the two pipelines compute
+/// operator stages are plain constant stencils that run the const-arity
+/// row kernels, and with `a ≡ 1` the two pipelines compute
 /// bitwise-identical results (the differential tests pin this).
 pub fn build_varcoef_cycle_pipeline(cfg: &MgConfig, with_coeff: bool) -> Pipeline {
     build_pipeline_inner(cfg, with_coeff, true)

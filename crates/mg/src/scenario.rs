@@ -92,6 +92,9 @@ pub fn scenario_runner(
                 want: cfg.alloc_len(cfg.levels - 1),
             });
         }
+        if let Some((index, value)) = first_bad_coeff(a) {
+            return Err(ScenarioRunnerError::BadCoeff { index, value });
+        }
     }
     opts.mixed_precision = spec.mixed;
     let cfg2 = scenario_config(cfg, spec.scenario);
@@ -115,6 +118,17 @@ pub fn reciprocal_field(a: &[f64]) -> Vec<f64> {
     a.iter().map(|x| 1.0 / x).collect()
 }
 
+/// The first coefficient that is not finite and positive, as
+/// `(index, value)`. The variable-coefficient operator divides by the
+/// grid ([`reciprocal_field`]), so every entry point rejects such a grid
+/// with this check before the division.
+pub fn first_bad_coeff(a: &[f64]) -> Option<(usize, f64)> {
+    a.iter()
+        .copied()
+        .enumerate()
+        .find(|&(_, x)| !(x.is_finite() && x > 0.0))
+}
+
 /// Why a scenario runner could not be built.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioRunnerError {
@@ -124,6 +138,8 @@ pub enum ScenarioRunnerError {
     /// The coefficient grid does not match the finest level's dense
     /// allocation length.
     CoeffSize { got: usize, want: usize },
+    /// A coefficient is not finite and positive ([`first_bad_coeff`]).
+    BadCoeff { index: usize, value: f64 },
     /// Pipeline compilation failed (validation errors).
     Compile(Vec<String>),
 }
@@ -134,6 +150,12 @@ impl std::fmt::Display for ScenarioRunnerError {
             ScenarioRunnerError::Scenario(e) => write!(f, "{e}"),
             ScenarioRunnerError::CoeffSize { got, want } => {
                 write!(f, "coefficient grid has {got} values, expected {want}")
+            }
+            ScenarioRunnerError::BadCoeff { index, value } => {
+                write!(
+                    f,
+                    "coefficient {index} is {value}; it must be finite and > 0"
+                )
             }
             ScenarioRunnerError::Compile(errs) => write!(f, "compile failed: {errs:?}"),
         }
@@ -382,6 +404,32 @@ mod tests {
             r < r0 * 1e-3,
             "variable-coefficient cycles stalled: {r0:.3e} -> {r:.3e}"
         );
+    }
+
+    #[test]
+    fn scenario_runner_rejects_bad_coefficients() {
+        let cfg = cfg2(31);
+        let opts = PipelineOptions::for_variant(Variant::OptPlus, 2);
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut a = ones_field(&cfg);
+            a[40] = bad;
+            let e = scenario_runner(
+                &cfg,
+                ScenarioSpec::new(Scenario::VarCoef),
+                opts.clone(),
+                "x",
+                Some(a),
+            )
+            .err()
+            .expect("bad coefficient should be rejected");
+            match e {
+                ScenarioRunnerError::BadCoeff { index, value } => {
+                    assert_eq!((index, value.to_bits()), (40, bad.to_bits()));
+                }
+                other => panic!("{bad}: wrong error {other}"),
+            }
+        }
+        assert_eq!(first_bad_coeff(&coeff_field(&cfg)), None);
     }
 
     #[test]

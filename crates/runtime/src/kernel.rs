@@ -6,9 +6,10 @@
 //! (origin = the tile's alloc box corner). All coordinates are global grid
 //! indices, so tap addressing is uniform regardless of where values live.
 //!
-//! Linear cases run through a unit-stride fast path (per-row slices with an
-//! unrolled tap loop for up to 9 taps) or a generic strided path
-//! (restriction's stride-2 reads, interpolation's half-index reads).
+//! Linear cases run row by row: constant rows of up to `MAX_SPEC_TAPS` taps
+//! through one const-arity row kernel per arity (per-ISA unit-stride body,
+//! unrolled strided loop for restriction's stride-2 and interpolation's
+//! half-index reads), everything else through the generic tap loop.
 //! Non-linear cases are evaluated by the expression interpreter.
 
 // Index-based loops here mirror the math (multi-slice stencil updates); clippy prefers iterators but the indices are the clearer notation.
@@ -16,7 +17,8 @@
 
 use gmg_ir::{Expr, Operand, Parity, ParityPattern};
 use gmg_poly::{div_floor, BoxDomain};
-use polymg::{KernelBody, KernelImpl, KernelSel, KernelTier, StageKernel};
+use polymg::specialize::MAX_SPEC_TAPS;
+use polymg::{KernelBody, KernelSel, KernelTier, StageKernel};
 
 /// A read-only execution space.
 #[derive(Clone, Copy)]
@@ -140,37 +142,6 @@ impl<'a> KernelOut<'a> {
 /// `slot_boundary[k]` is the ghost/boundary value of slot `k`'s producer
 /// (reads outside a producer's view resolve to it — only the interpreter
 /// path can take that branch; linear taps are in-view by construction).
-pub fn execute_stage(
-    kernel: &StageKernel,
-    region: &BoxDomain,
-    out: &mut SpaceMut<'_>,
-    ins: &[KernelInput<'_>],
-    slot_boundary: &[f64],
-) {
-    execute_stage_impl(KernelImpl::Generic, kernel, region, out, ins, slot_boundary);
-}
-
-/// [`execute_stage`] with an explicit specialized-kernel selection (the
-/// `StageExec::impl_tag` chosen at schedule lowering), at the scalar tier.
-pub fn execute_stage_impl(
-    impl_tag: KernelImpl,
-    kernel: &StageKernel,
-    region: &BoxDomain,
-    out: &mut SpaceMut<'_>,
-    ins: &[KernelInput<'_>],
-    slot_boundary: &[f64],
-) {
-    execute_stage_sel(
-        KernelSel::scalar(impl_tag),
-        kernel,
-        region,
-        out,
-        ins,
-        slot_boundary,
-    );
-}
-
-/// [`execute_stage`] with a full kernel selection (family + tier + block).
 pub fn execute_stage_sel(
     sel: KernelSel,
     kernel: &StageKernel,
@@ -188,49 +159,16 @@ pub fn execute_stage_sel(
 }
 
 /// Execute every case of `kernel` over `region` into any [`KernelOut`].
-pub fn execute_stage_out(
-    kernel: &StageKernel,
-    region: &BoxDomain,
-    out: KernelOut<'_>,
-    ins: &[KernelInput<'_>],
-    slot_boundary: &[f64],
-) {
-    execute_stage_out_sel(KernelSel::generic(), kernel, region, out, ins, slot_boundary);
-}
-
-/// [`execute_stage_out`] with an explicit specialized-kernel family, at the
-/// scalar tier (the PR-3 entry point, kept for differential tests and
-/// callers that pre-date tiers).
-pub fn execute_stage_out_impl(
-    impl_tag: KernelImpl,
-    kernel: &StageKernel,
-    region: &BoxDomain,
-    out: KernelOut<'_>,
-    ins: &[KernelInput<'_>],
-    slot_boundary: &[f64],
-) {
-    execute_stage_out_sel(
-        KernelSel::scalar(impl_tag),
-        kernel,
-        region,
-        out,
-        ins,
-        slot_boundary,
-    );
-}
-
-/// [`execute_stage_out`] with a full kernel selection.
 ///
-/// A non-[`Generic`](KernelImpl::Generic) family routes each linear case to
-/// a dedicated row kernel whose tap arity is a compile-time constant —
-/// scalar-unrolled ([`spec_row`]), lane-safe SIMD ([`lane_row`]) or
-/// reassociating SIMD ([`fast_row`]) depending on the selection's tier —
-/// provided the case's arity has a specialized instance; anything else
-/// (interpreted cases, arities above the tables) falls back to the generic
-/// [`run_row`] and is counted in the histograms' `generic`/`scalar`
-/// buckets. The scalar and lane-safe tiers accumulate each output point's
-/// taps in the generic order, so their results are bitwise identical to the
-/// generic path; only the fast-math tier reassociates.
+/// The row kernel comes from the case itself: a linear case without
+/// coefficient taps and with 1..=[`MAX_SPEC_TAPS`] taps runs the
+/// const-arity [`row`] kernel for its arity, at the selection's tier,
+/// whatever the stage's `impl_tag` (which only labels the `kernel_impls`
+/// histogram). Coefficient taps, wider rows and interpreted cases run the
+/// generic [`run_row`] or the interpreter and are counted in the
+/// histograms' `generic` buckets. Every exact path accumulates each output
+/// point's taps in the generic order, so results are bitwise identical to
+/// the interpreter; only the fast-math tier reassociates.
 pub fn execute_stage_out_sel(
     sel: KernelSel,
     kernel: &StageKernel,
@@ -245,27 +183,17 @@ pub fn execute_stage_out_sel(
     for case in &kernel.cases {
         match &case.body {
             KernelBody::Linear(form) => {
-                let arity = form.taps.len();
-                let row = if sel.impl_tag != KernelImpl::Generic {
-                    match sel.tier {
-                        KernelTier::Scalar => spec_row_fn(arity),
-                        KernelTier::LaneSafe => lane_row_fn(arity),
-                        KernelTier::FastMath => fast_row_fn(arity),
-                    }
-                } else {
+                let row = if form.taps.iter().any(|t| t.cfactor.is_some()) {
                     None
+                } else {
+                    row_fn(form.taps.len(), sel.tier)
                 };
-                let bucket = if row.is_some() { sel.impl_tag.index() } else { 0 };
-                let tier = if row.is_some() { sel.tier.index() } else { 0 };
+                let (bucket, tier, xblock) = match row {
+                    Some(_) => (sel.impl_tag.index(), sel.tier.index(), sel.xblock),
+                    None => (0, 0, 0),
+                };
                 gmg_trace::dispatch::record_impl(bucket, 1);
                 gmg_trace::dispatch::record_tier(tier, 1);
-                // Cache blocking only pays off (and is only wired up) for
-                // the lane tiers; the scalar/generic paths keep flat rows.
-                let xblock = if row.is_some() && sel.tier != KernelTier::Scalar {
-                    sel.xblock
-                } else {
-                    0
-                };
                 match region.ndims() {
                     2 => linear_2d(form, &case.pattern, region, &mut out, ins, row, xblock),
                     3 => linear_3d(form, &case.pattern, region, &mut out, ins, row, xblock),
@@ -365,9 +293,10 @@ fn tap_x_base_slope(access: &gmg_ir::Access, input: &Space<'_>, x0: i64, sx: i64
     (first as usize, slope)
 }
 
-/// Which [`run_row`] code path a kernel case with these taps will take.
-/// Mirrors the dispatch conditions in `run_row` exactly; evaluated once per
-/// case execution (not per row) to feed the `gmg_trace::dispatch` histogram.
+/// Which row-kernel code path a kernel case with these taps will take.
+/// Mirrors the dispatch conditions of [`execute_stage_out_sel`] and
+/// [`run_row`] exactly; evaluated once per case execution (not per row) to
+/// feed the `gmg_trace::dispatch` histogram.
 fn dispatch_kind(out_slope: usize, taps: &[RtTap<'_>]) -> gmg_trace::dispatch::Kind {
     use gmg_trace::dispatch::Kind;
     if taps.iter().any(|t| t.cfac.is_some()) {
@@ -376,21 +305,10 @@ fn dispatch_kind(out_slope: usize, taps: &[RtTap<'_>]) -> gmg_trace::dispatch::K
     if out_slope != 1 || taps.iter().any(|t| t.slope != 1) {
         return Kind::Strided;
     }
-    if taps.len() <= 28 {
+    if taps.len() <= MAX_SPEC_TAPS {
         return Kind::UnitUnrolled;
     }
-    let mut nspans = 0usize;
-    let mut j = 0;
-    while j < taps.len() {
-        let c = taps[j].coeff;
-        let mut k = j + 1;
-        while k < taps.len() && taps[k].coeff == c {
-            k += 1;
-        }
-        nspans += 1;
-        j = k;
-    }
-    if nspans * 2 <= taps.len() {
+    if coeff_spans(taps).len() * 2 <= taps.len() {
         Kind::UnitFactored
     } else {
         Kind::UnitFallback
@@ -398,65 +316,20 @@ fn dispatch_kind(out_slope: usize, taps: &[RtTap<'_>]) -> gmg_trace::dispatch::K
 }
 
 /// The row-kernel signature shared by the generic [`run_row`] and the
-/// specialized [`spec_row`] instances: write `count` outputs spaced
-/// `out_slope` apart from `bias` plus the tap sums.
+/// const-arity [`row`] instances: write `count` outputs spaced `out_slope`
+/// apart from `bias` plus the tap sums.
 type RowFn = for<'a, 'b, 'c> fn(&'a mut [f64], usize, usize, f64, &'b [RtTap<'c>]);
 
-/// Specialized row kernel with the tap arity `K` fixed at compile time —
-/// the "dedicated unrolled kernel" a non-generic `KernelImpl` dispatches
-/// to. Both paths visit taps in exactly the order [`run_row`] does (the
-/// unit path mirrors its `fixed!` loops, the strided path its per-tap
-/// loop), keeping specialization bitwise-transparent; the constant arity
-/// lets LLVM keep every row pointer and coefficient in registers and
-/// vectorize the inner loop without runtime tap-count checks.
-fn spec_row<const K: usize>(
-    out_row: &mut [f64],
-    out_slope: usize,
-    count: usize,
-    bias: f64,
-    taps: &[RtTap<'_>],
-) {
-    debug_assert_eq!(taps.len(), K);
-    // the classifier refuses variable-coefficient stages, so specialized
-    // kernels never see a coefficient factor
-    debug_assert!(taps.iter().all(|t| t.cfac.is_none()));
-    if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
-        let out_row = &mut out_row[..count];
-        let mut rows: [&[f64]; K] = [&[]; K];
-        let mut coeff = [0.0f64; K];
-        for (j, t) in taps.iter().enumerate() {
-            rows[j] = &t.data[t.base..t.base + count];
-            coeff[j] = t.coeff;
-        }
-        for i in 0..count {
-            let mut acc = bias;
-            for j in 0..K {
-                acc += coeff[j] * rows[j][i];
-            }
-            out_row[i] = acc;
-        }
-        return;
-    }
-    // strided (restrict / interp): arity still unrolled
-    for k in 0..count {
-        let mut acc = bias;
-        for j in 0..K {
-            let t = &taps[j];
-            acc += t.coeff * t.data[t.base + k * t.slope];
-        }
-        out_row[k * out_slope] = acc;
-    }
-}
-
-/// The specialized row kernel for a tap arity, if one is instantiated.
-/// The table stops at `polymg::specialize::MAX_SPEC_TAPS` (= 28) — beyond
-/// that the generic path may choose coefficient factoring, which sums in a
-/// different order, so the classifier never tags such kernels anyway.
-fn spec_row_fn(arity: usize) -> Option<RowFn> {
+/// The const-arity row kernel for a tap arity and tier, if one is
+/// instantiated (arities 1..=[`MAX_SPEC_TAPS`]).
+fn row_fn(arity: usize, tier: KernelTier) -> Option<RowFn> {
     macro_rules! table {
         ($($k:literal)*) => {
-            match arity {
-                $($k => Some(spec_row::<$k> as RowFn),)*
+            match (arity, tier) {
+                $(
+                    ($k, KernelTier::LaneSafe) => Some(row::<$k, false> as RowFn),
+                    ($k, KernelTier::FastMath) => Some(row::<$k, true> as RowFn),
+                )*
                 _ => None,
             }
         };
@@ -464,19 +337,10 @@ fn spec_row_fn(arity: usize) -> Option<RowFn> {
     table!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28)
 }
 
-// ---------------------------------------------------------------------------
-// Lane tiers: explicit-width SIMD row kernels
-// ---------------------------------------------------------------------------
-
-/// f64 lanes per inner-loop step of the lane tiers. Eight lanes is one
-/// AVX-512 register / two AVX2 registers; the fixed-width array accumulators
-/// below lower to full-width vector ops under either ISA.
-pub const LANES: usize = 8;
-
-/// Host vector ISA, detected once. The lane bodies are compiled three ways
-/// (baseline / AVX2 / AVX-512) via `#[target_feature]` multiversioning —
-/// without this the workspace's baseline `x86-64` target would pin every
-/// lane loop to 2-wide SSE2.
+/// Host vector ISA, detected once. The unit-stride row bodies exist three
+/// ways (baseline / AVX2 / AVX-512) via `#[target_feature]` — without this
+/// the workspace's baseline `x86-64` target would pin every row loop to
+/// 2-wide SSE2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Isa {
     Baseline,
@@ -490,7 +354,7 @@ fn isa() -> Isa {
     use std::sync::OnceLock;
     static ISA: OnceLock<Isa> = OnceLock::new();
     *ISA.get_or_init(|| {
-        // `GMG_SIMD_ISA=baseline|avx2|avx512` pins the lane codepath —
+        // `GMG_SIMD_ISA=baseline|avx2|avx512` pins the row codepath —
         // for differential debugging and for overriding the default width
         // choice. A pin is honored only if the host has the features.
         //
@@ -527,131 +391,97 @@ fn isa() -> Isa {
     })
 }
 
-/// Lane-safe unit-stride body: vectorizes ACROSS output points. Each lane
-/// computes its own point's full tap sum in exactly the generic order
-/// (`bias + c₀·r₀[i] + c₁·r₁[i] + …`), and the scalar remainder loop is
-/// that same order — so this body is bitwise-identical to [`run_row`]'s
-/// unit path for every element. (Rust never contracts `a*b + c` into an
-/// fma, so enabling wider ISAs cannot change the rounding.)
-#[inline(always)]
-fn lane_safe_body<const K: usize>(
+/// The const-arity row kernel: the tap arity `K` is fixed at compile time,
+/// so every row pointer and coefficient stays in registers with no
+/// run-time tap-count checks. Unit-stride rows run the host ISA's body —
+/// the AVX-512/AVX2 intrinsics, lane-safe or (with `FAST`) reassociating —
+/// and the plain unrolled loop on the baseline ISA, fast-math or not.
+/// Strided rows (restriction / interpolation reads) run the unrolled
+/// strided loop; their gathers do not vectorize profitably. Every exact
+/// path visits taps in [`run_row`]'s order.
+fn row<const K: usize, const FAST: bool>(
     out_row: &mut [f64],
+    out_slope: usize,
+    count: usize,
+    bias: f64,
+    taps: &[RtTap<'_>],
+) {
+    debug_assert_eq!(taps.len(), K);
+    // coefficient taps never reach the arity table
+    debug_assert!(taps.iter().all(|t| t.cfac.is_none()));
+    if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
+        let out_row = &mut out_row[..count];
+        let mut rows: [&[f64]; K] = [&[]; K];
+        let mut coeff = [0.0f64; K];
+        for (j, t) in taps.iter().enumerate() {
+            rows[j] = &t.data[t.base..t.base + count];
+            coeff[j] = t.coeff;
+        }
+        // SAFETY (wide arms): `isa` reports a wide ISA only after
+        // `is_x86_feature_detected!` confirmed its features, and `out_row`
+        // and every `rows[j]` were sliced to exactly `count` above.
+        match isa() {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 if FAST => unsafe {
+                fast_math_avx512::<K>(out_row, count, bias, &rows, &coeff)
+            },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { lane_safe_avx512::<K>(out_row, count, bias, &rows, &coeff) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 if FAST => unsafe {
+                fast_math_avx2::<K>(out_row, count, bias, &rows, &coeff)
+            },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { lane_safe_avx2::<K>(out_row, count, bias, &rows, &coeff) },
+            Isa::Baseline => plain_row::<K>(out_row, 0, count, bias, &rows, &coeff),
+        }
+        return;
+    }
+    for k in 0..count {
+        let mut acc = bias;
+        for j in 0..K {
+            let t = &taps[j];
+            acc += t.coeff * t.data[t.base + k * t.slope];
+        }
+        out_row[k * out_slope] = acc;
+    }
+}
+
+/// The generic tap chain `bias + c₀·r₀[i] + c₁·r₁[i] + …` over points
+/// `from..count`: the baseline ISA's whole unit-stride row, and the scalar
+/// remainder of the wide lane-safe kernels (so their tails are bitwise
+/// identical too).
+#[inline(always)]
+fn plain_row<const K: usize>(
+    out_row: &mut [f64],
+    from: usize,
     count: usize,
     bias: f64,
     rows: &[&[f64]; K],
     coeff: &[f64; K],
 ) {
-    let mut i = 0;
-    while i + LANES <= count {
-        let mut acc = [bias; LANES];
-        for j in 0..K {
-            let c = coeff[j];
-            let r = &rows[j][i..i + LANES];
-            for l in 0..LANES {
-                acc[l] += c * r[l];
-            }
-        }
-        out_row[i..i + LANES].copy_from_slice(&acc);
-        i += LANES;
-    }
-    while i < count {
+    for i in from..count {
         let mut acc = bias;
         for j in 0..K {
             acc += coeff[j] * rows[j][i];
         }
         out_row[i] = acc;
-        i += 1;
     }
 }
 
-/// Reassociating unit-stride body: the per-point tap chain is split into
-/// two independent partial sums (breaking the serial add dependence the
-/// lane-safe body carries), folded as `bias + (even + odd)` at the end, and
-/// fused multiply-adds are used when `FMA` (only instantiated inside
-/// `target_feature(fma)` variants — software fma would be a libm call per
-/// tap). Results differ from the generic path at round-off level; the ULP
-/// differential suite bounds the divergence.
-#[inline(always)]
-fn fast_math_body<const K: usize, const FMA: bool>(
-    out_row: &mut [f64],
-    count: usize,
-    bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
-) {
-    let mut i = 0;
-    while i + LANES <= count {
-        let mut acc0 = [0.0f64; LANES];
-        let mut acc1 = [0.0f64; LANES];
-        let mut j = 0;
-        while j + 1 < K {
-            let (c0, c1) = (coeff[j], coeff[j + 1]);
-            let r0 = &rows[j][i..i + LANES];
-            let r1 = &rows[j + 1][i..i + LANES];
-            for l in 0..LANES {
-                if FMA {
-                    acc0[l] = c0.mul_add(r0[l], acc0[l]);
-                    acc1[l] = c1.mul_add(r1[l], acc1[l]);
-                } else {
-                    acc0[l] += c0 * r0[l];
-                    acc1[l] += c1 * r1[l];
-                }
-            }
-            j += 2;
-        }
-        if j < K {
-            let c = coeff[j];
-            let r = &rows[j][i..i + LANES];
-            for l in 0..LANES {
-                if FMA {
-                    acc0[l] = c.mul_add(r[l], acc0[l]);
-                } else {
-                    acc0[l] += c * r[l];
-                }
-            }
-        }
-        for l in 0..LANES {
-            out_row[i + l] = bias + (acc0[l] + acc1[l]);
-        }
-        i += LANES;
-    }
-    while i < count {
-        let (mut acc0, mut acc1) = (0.0f64, 0.0f64);
-        let mut j = 0;
-        while j + 1 < K {
-            if FMA {
-                acc0 = coeff[j].mul_add(rows[j][i], acc0);
-                acc1 = coeff[j + 1].mul_add(rows[j + 1][i], acc1);
-            } else {
-                acc0 += coeff[j] * rows[j][i];
-                acc1 += coeff[j + 1] * rows[j + 1][i];
-            }
-            j += 2;
-        }
-        if j < K {
-            if FMA {
-                acc0 = coeff[j].mul_add(rows[j][i], acc0);
-            } else {
-                acc0 += coeff[j] * rows[j][i];
-            }
-        }
-        out_row[i] = bias + (acc0 + acc1);
-        i += 1;
-    }
-}
+// The lane-safe wide kernels: each vector lane is one output point and
+// performs `((bias + c₀·r₀) + c₁·r₁) + …` — the exact scalar association,
+// separate mul then add, never fma — so every lane is bitwise-equal to the
+// generic per-point chain.
+//
+// Safety contract of the four wide kernels: the host must have the
+// enabled target features (callers go through `isa`, which checked them
+// with `is_x86_feature_detected!`), and `out_row` and every `rows[j]`
+// must hold at least `count` elements (`row` slices them to exactly
+// `count`), so every unaligned vector load and store stays in bounds.
 
-// ISA-multiversioned variants: same `#[inline(always)]` body recompiled
-// under wider target features, selected once per row through [`isa`].
-// SAFETY (all four): only called after `is_x86_feature_detected!` confirmed
-// the enabled features at [`isa`] init.
-
-// The lane-safe wide variants are also explicit-intrinsic: each vector
-// lane performs `((bias + c₀·r₀) + c₁·r₁) + …` — the exact scalar
-// association, separate mul then add, never fma — so every lane is
-// bitwise-equal to the generic per-point chain. Hand-written packed ops
-// sidestep the autovectorizer's shuffle-heavy lowering of the portable
-// lane-array body.
-
+/// # Safety
+/// See the safety contract of the wide kernels above.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn lane_safe_avx2<const K: usize>(
@@ -694,9 +524,11 @@ unsafe fn lane_safe_avx2<const K: usize>(
         _mm256_storeu_pd(out_row.as_mut_ptr().add(i), acc);
         i += 4;
     }
-    lane_safe_tail::<K>(out_row, i, count, bias, rows, coeff);
+    plain_row::<K>(out_row, i, count, bias, rows, coeff);
 }
 
+/// # Safety
+/// See the safety contract of the wide kernels above.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn lane_safe_avx512<const K: usize>(
@@ -737,36 +569,19 @@ unsafe fn lane_safe_avx512<const K: usize>(
         _mm512_storeu_pd(out_row.as_mut_ptr().add(i), acc);
         i += 8;
     }
-    lane_safe_tail::<K>(out_row, i, count, bias, rows, coeff);
+    plain_row::<K>(out_row, i, count, bias, rows, coeff);
 }
 
-/// Scalar remainder of the wide lane-safe kernels — the generic tap chain
-/// verbatim, so the tail is bitwise-identical too.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn lane_safe_tail<const K: usize>(
-    out_row: &mut [f64],
-    from: usize,
-    count: usize,
-    bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
-) {
-    for i in from..count {
-        let mut acc = bias;
-        for j in 0..K {
-            acc += coeff[j] * rows[j][i];
-        }
-        out_row[i] = acc;
-    }
-}
+// The fast-math wide kernels: the per-point tap chain is split into two
+// independent partial sums (breaking the serial add dependence the
+// lane-safe kernels carry) with fused multiply-adds, folded as
+// `bias + (even + odd)`. Results differ from the generic path at round-off
+// level; the ULP differential suite bounds the divergence. Explicit packed
+// intrinsics, because LLVM's SLP pass does not re-vectorize portable
+// `mul_add` lane arrays.
 
-// The fast-math wide variants are written with explicit (stable) packed
-// intrinsics rather than through `fast_math_body`: LLVM's SLP pass does
-// not re-vectorize the `mul_add` lane arrays and would otherwise emit a
-// fully scalar-fma unroll — measured ~3× slower than the lane-safe tier
-// instead of faster.
-
+/// # Safety
+/// See the safety contract of the wide kernels above.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn fast_math_avx2<const K: usize>(
@@ -812,6 +627,8 @@ unsafe fn fast_math_avx2<const K: usize>(
     fast_math_tail::<K>(out_row, i, count, bias, rows, coeff);
 }
 
+/// # Safety
+/// See the safety contract of the wide kernels above.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
 unsafe fn fast_math_avx512<const K: usize>(
@@ -886,100 +703,26 @@ fn fast_math_tail<const K: usize>(
     }
 }
 
-/// Lane-safe SIMD row kernel (the [`KernelTier::LaneSafe`] dispatch
-/// target). The unit path runs the multiversioned [`lane_safe_body`];
-/// strided accesses (restrict / interp reads) keep the unrolled scalar
-/// loop — their gathers don't vectorize profitably.
-fn lane_row<const K: usize>(
-    out_row: &mut [f64],
-    out_slope: usize,
-    count: usize,
-    bias: f64,
-    taps: &[RtTap<'_>],
-) {
-    debug_assert_eq!(taps.len(), K);
-    if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
-        let out_row = &mut out_row[..count];
-        let mut rows: [&[f64]; K] = [&[]; K];
-        let mut coeff = [0.0f64; K];
-        for (j, t) in taps.iter().enumerate() {
-            rows[j] = &t.data[t.base..t.base + count];
-            coeff[j] = t.coeff;
+/// Adjacent runs of equal coefficients as `(coeff, first, end)` tap spans.
+fn coeff_spans(taps: &[RtTap<'_>]) -> Vec<(f64, usize, usize)> {
+    let mut spans = Vec::new();
+    let mut j = 0;
+    while j < taps.len() {
+        let c = taps[j].coeff;
+        let mut k = j + 1;
+        while k < taps.len() && taps[k].coeff == c {
+            k += 1;
         }
-        match isa() {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { lane_safe_avx512::<K>(out_row, count, bias, &rows, &coeff) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { lane_safe_avx2::<K>(out_row, count, bias, &rows, &coeff) },
-            Isa::Baseline => lane_safe_body::<K>(out_row, count, bias, &rows, &coeff),
-        }
-        return;
+        spans.push((c, j, k));
+        j = k;
     }
-    spec_row::<K>(out_row, out_slope, count, bias, taps)
+    spans
 }
 
-/// Reassociating SIMD row kernel (the [`KernelTier::FastMath`] dispatch
-/// target). Strided accesses fall back to the unrolled scalar loop exactly
-/// like [`lane_row`] — so strided cases stay bitwise-identical even under
-/// fast-math.
-fn fast_row<const K: usize>(
-    out_row: &mut [f64],
-    out_slope: usize,
-    count: usize,
-    bias: f64,
-    taps: &[RtTap<'_>],
-) {
-    debug_assert_eq!(taps.len(), K);
-    if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
-        let out_row = &mut out_row[..count];
-        let mut rows: [&[f64]; K] = [&[]; K];
-        let mut coeff = [0.0f64; K];
-        for (j, t) in taps.iter().enumerate() {
-            rows[j] = &t.data[t.base..t.base + count];
-            coeff[j] = t.coeff;
-        }
-        match isa() {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { fast_math_avx512::<K>(out_row, count, bias, &rows, &coeff) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { fast_math_avx2::<K>(out_row, count, bias, &rows, &coeff) },
-            Isa::Baseline => fast_math_body::<K, false>(out_row, count, bias, &rows, &coeff),
-        }
-        return;
-    }
-    spec_row::<K>(out_row, out_slope, count, bias, taps)
-}
-
-/// The lane-safe row kernel for a tap arity, if one is instantiated (same
-/// 1..=28 table as [`spec_row_fn`]).
-fn lane_row_fn(arity: usize) -> Option<RowFn> {
-    macro_rules! table {
-        ($($k:literal)*) => {
-            match arity {
-                $($k => Some(lane_row::<$k> as RowFn),)*
-                _ => None,
-            }
-        };
-    }
-    table!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28)
-}
-
-/// The reassociating row kernel for a tap arity, if one is instantiated.
-fn fast_row_fn(arity: usize) -> Option<RowFn> {
-    macro_rules! table {
-        ($($k:literal)*) => {
-            match arity {
-                $($k => Some(fast_row::<$k> as RowFn),)*
-                _ => None,
-            }
-        };
-    }
-    table!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28)
-}
-
-/// The innermost loop: `out[k·out_slope] = bias + Σ coeff·data[base+k·slope]`
-/// for `k` in `0..count`. Dispatches an unrolled unit-stride kernel when
-/// every stride is 1.
+/// The generic row loop: `out[k·out_slope] = bias + Σ coeff·data[base+k·slope]`
+/// for `k` in `0..count`. Runs what the const-arity table does not take:
+/// coefficient taps, rows wider than [`MAX_SPEC_TAPS`] taps, and bias-only
+/// rows.
 fn run_row(out_row: &mut [f64], out_slope: usize, count: usize, bias: f64, taps: &[RtTap<'_>]) {
     if taps.iter().any(|t| t.cfac.is_some()) {
         // Variable-coefficient path: the effective weight of each tap is
@@ -997,107 +740,32 @@ fn run_row(out_row: &mut [f64], out_slope: usize, count: usize, bias: f64, taps:
         }
         return;
     }
-    if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
-        let out_row = &mut out_row[..count];
-        // Coefficient-factored path: when the lowering sorted taps by
-        // coefficient (see `polymg::lowering`), adjacent equal-coefficient
-        // runs are summed before the single multiply. Measured on this
-        // host, the const-generic unrolled loops below beat this for ≤28
-        // taps (LLVM keeps everything in registers), so the factored path
-        // only engages for stencils wider than the unroll dispatch, where
-        // the alternative is the slow per-tap fallback.
-        if taps.len() > 28 {
-            let mut spans: Vec<(f64, usize, usize)> = Vec::new();
-            let mut j = 0;
-            while j < taps.len() {
-                let c = taps[j].coeff;
-                let mut k = j + 1;
-                while k < taps.len() && taps[k].coeff == c {
-                    k += 1;
-                }
-                spans.push((c, j, k));
-                j = k;
-            }
-            if spans.len() * 2 <= taps.len() {
-                let rows: Vec<&[f64]> = taps
-                    .iter()
-                    .map(|t| &t.data[t.base..t.base + count])
-                    .collect();
-                for (i, out) in out_row.iter_mut().enumerate() {
-                    let mut acc = bias;
-                    for &(c, a, b) in &spans {
-                        let mut s = 0.0;
-                        for r in &rows[a..b] {
-                            s += r[i];
-                        }
-                        acc += c * s;
+    // Coefficient-factored path: when the lowering sorted taps by
+    // coefficient (see `polymg::lowering`), adjacent equal-coefficient runs
+    // are summed before the single multiply. The const-arity kernels beat
+    // it up to `MAX_SPEC_TAPS` taps, so it only engages for wider unit-stride
+    // stencils, where the alternative is the per-tap loop below.
+    if taps.len() > MAX_SPEC_TAPS && out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
+        let spans = coeff_spans(taps);
+        if spans.len() * 2 <= taps.len() {
+            let rows: Vec<&[f64]> = taps
+                .iter()
+                .map(|t| &t.data[t.base..t.base + count])
+                .collect();
+            for (i, out) in out_row[..count].iter_mut().enumerate() {
+                let mut acc = bias;
+                for &(c, a, b) in &spans {
+                    let mut s = 0.0;
+                    for r in &rows[a..b] {
+                        s += r[i];
                     }
-                    *out = acc;
+                    acc += c * s;
                 }
-                return;
+                *out = acc;
             }
+            return;
         }
-        macro_rules! fixed {
-            ($k:literal) => {{
-                let mut rows: [&[f64]; $k] = [&[]; $k];
-                let mut coeff = [0.0f64; $k];
-                for (j, t) in taps.iter().enumerate() {
-                    rows[j] = &t.data[t.base..t.base + count];
-                    coeff[j] = t.coeff;
-                }
-                for i in 0..count {
-                    let mut acc = bias;
-                    for j in 0..$k {
-                        acc += coeff[j] * rows[j][i];
-                    }
-                    out_row[i] = acc;
-                }
-            }};
-        }
-        match taps.len() {
-            0 => out_row.fill(bias),
-            1 => fixed!(1),
-            2 => fixed!(2),
-            3 => fixed!(3),
-            4 => fixed!(4),
-            5 => fixed!(5),
-            6 => fixed!(6),
-            7 => fixed!(7),
-            8 => fixed!(8),
-            9 => fixed!(9),
-            10 => fixed!(10),
-            11 => fixed!(11),
-            12 => fixed!(12),
-            13 => fixed!(13),
-            14 => fixed!(14),
-            15 => fixed!(15),
-            16 => fixed!(16),
-            17 => fixed!(17),
-            18 => fixed!(18),
-            // 3-D class stencils (NAS resid/psinv land here)
-            19 => fixed!(19),
-            20 => fixed!(20),
-            21 => fixed!(21),
-            22 => fixed!(22),
-            23 => fixed!(23),
-            24 => fixed!(24),
-            25 => fixed!(25),
-            26 => fixed!(26),
-            27 => fixed!(27),
-            28 => fixed!(28),
-            _ => {
-                for i in 0..count {
-                    let mut acc = bias;
-                    for t in taps {
-                        acc += t.coeff * t.data[t.base + i];
-                    }
-                    out_row[i] = acc;
-                }
-            }
-        }
-        return;
     }
-    // strided path (restrict / interp)
     for k in 0..count {
         let mut acc = bias;
         for t in taps {
@@ -1173,7 +841,7 @@ fn linear_2d(
     let ob0 = (y0 - oy) as usize * out_rs + (x0 - ox) as usize;
     let out_delta = sy as usize * out_rs;
 
-    // Cache-blocked nest for the lane tiers: split the unit-stride
+    // Cache-blocked nest for the const-arity kernels: split the unit-stride
     // dimension into `xblock`-point slabs and sweep all rows of one slab
     // before moving on, so a slab's input rows stay cache-resident across
     // the y loop. Per-point arithmetic is untouched (each point sees the
@@ -1326,8 +994,8 @@ fn linear_3d(
 
     let ob0 = (z0 - oz) as usize * out_ps + (y0 - oy) as usize * out_rs + (x0 - ox) as usize;
 
-    // Cache-blocked nest for the lane tiers: x-slabs outer, z/y rows inner
-    // (see `linear_2d` — same bitwise-transparency argument).
+    // Cache-blocked nest for the const-arity kernels: x-slabs outer, z/y
+    // rows inner (see `linear_2d` — same bitwise-transparency argument).
     if xblock > 0 && sx == 1 && count > xblock && taps.iter().all(|t| t.slope == 1) {
         let mut start = 0usize;
         while start < count {
@@ -1556,7 +1224,7 @@ mod tests {
     use gmg_ir::expr::{Access, AxisAccess};
     use gmg_ir::{LinearForm, Tap};
     use gmg_poly::Interval;
-    use polymg::{KernelCase, StageKernel};
+    use polymg::{KernelCase, KernelImpl, StageKernel};
 
     fn space<'a>(data: &'a [f64], origin: &'a [i64], extents: &'a [i64]) -> Space<'a> {
         Space {
@@ -1615,7 +1283,7 @@ mod tests {
                 extents: &ext,
             };
             let ins = [KernelInput::Grid(space(&input, &origin, &ext))];
-            execute_stage(&k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &ins, &[0.0]);
         }
         for y in 1..=n {
             for x in 1..=n {
@@ -1648,7 +1316,7 @@ mod tests {
                 extents: &sext,
             };
             let ins = [KernelInput::Grid(space(&input, &iorigin, &iext))];
-            execute_stage(&k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &ins, &[0.0]);
         }
         // f(y,x) = 8y + x is linear → average = centre
         for y in 2..=4i64 {
@@ -1690,7 +1358,7 @@ mod tests {
                 extents: &oext,
             };
             let ins = [KernelInput::Grid(space(&input, &iorigin, &iext))];
-            execute_stage(&k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &ins, &[0.0]);
         }
         for y in 1..=4i64 {
             for x in 1..=4i64 {
@@ -1753,7 +1421,7 @@ mod tests {
                 extents: &oext,
             };
             let ins = [KernelInput::Grid(space(&input, &iorigin, &iext))];
-            execute_stage(&k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &ins, &[0.0]);
         }
         for y in 1..=5i64 {
             for x in 2..=9i64 {
@@ -1789,7 +1457,7 @@ mod tests {
                 extents: &ext,
             };
             let ins = [KernelInput::Grid(space(&input, &origin, &ext))];
-            execute_stage(k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), k, &region, &mut out, &ins, &[0.0]);
         }
         assert_eq!(a, b);
     }
@@ -1839,7 +1507,7 @@ mod tests {
                 extents: &ext,
             };
             let ins = [KernelInput::Grid(space(&input, &origin, &ext))];
-            execute_stage(&k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &ins, &[0.0]);
         }
         for z in 1..=n {
             for y in 1..=n {
@@ -1949,14 +1617,21 @@ mod tests {
             extents: &ext,
         };
         let ins = [KernelInput::Grid(space(&input, &origin, &ext))];
-        execute_stage(&k, &BoxDomain::empty(2), &mut out, &ins, &[0.0]);
+        execute_stage_sel(
+            KernelSel::generic(),
+            &k,
+            &BoxDomain::empty(2),
+            &mut out,
+            &ins,
+            &[0.0],
+        );
         assert!(outbuf.iter().all(|&v| v == 5.0));
     }
 
     #[test]
     fn specialized_impl_matches_generic_bitwise() {
-        // unit-stride stencil and a strided restrict, each run once through
-        // the generic path and once with a specialized tag: bitwise equal
+        // unit-stride stencil and a strided restrict, each run once untagged
+        // and once with a specialized tag: the tag is a label, bitwise equal
         let input: Vec<f64> = (0..100).map(|i| ((i * 31) % 17) as f64 * 0.37).collect();
         let origin = [0i64, 0];
         let ext = [10i64, 10];
@@ -1998,7 +1673,11 @@ mod tests {
                     extents: &ext,
                 };
                 let ins = [KernelInput::Grid(space(&input, &origin, &ext))];
-                execute_stage_impl(tag, k, reg, &mut out, &ins, &[0.0]);
+                let sel = KernelSel {
+                    impl_tag: tag,
+                    ..KernelSel::generic()
+                };
+                execute_stage_sel(sel, k, reg, &mut out, &ins, &[0.0]);
             }
             assert_eq!(generic, spec, "{tag:?} diverged from the generic path");
         }
@@ -2024,8 +1703,38 @@ mod tests {
             origin: &origin,
             extents: &ext,
         };
-        execute_stage(&k, &region, &mut out, &[], &[]);
+        execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &[], &[]);
         assert_eq!(outbuf[5], 3.5);
         assert_eq!(outbuf[0], 0.0);
+    }
+
+    #[test]
+    fn arity_table_matches_generic_loop_bitwise() {
+        // every instantiated arity, unit-stride and stride-2, against the
+        // generic per-tap loop on the same taps
+        assert!(row_fn(MAX_SPEC_TAPS, KernelTier::LaneSafe).is_some());
+        assert!(row_fn(MAX_SPEC_TAPS + 1, KernelTier::LaneSafe).is_none());
+        assert!(row_fn(0, KernelTier::LaneSafe).is_none());
+        let data: Vec<f64> = (0..4096)
+            .map(|i| ((i * 37) % 101) as f64 * 0.013 - 0.6)
+            .collect();
+        for k in 1..=MAX_SPEC_TAPS {
+            for (slope, count) in [(1usize, 37usize), (2, 19)] {
+                let taps: Vec<RtTap<'_>> = (0..k)
+                    .map(|j| RtTap {
+                        data: &data,
+                        base: 3 * j,
+                        slope,
+                        coeff: 0.1 + 0.07 * j as f64,
+                        cfac: None,
+                    })
+                    .collect();
+                let mut want = vec![0.0; count * slope];
+                let mut got = vec![0.0; count * slope];
+                run_row(&mut want, slope, count, 0.5, &taps);
+                row_fn(k, KernelTier::LaneSafe).unwrap()(&mut got, slope, count, 0.5, &taps);
+                assert_eq!(want, got, "arity {k}, stride {slope}");
+            }
+        }
     }
 }

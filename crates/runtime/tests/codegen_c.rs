@@ -67,7 +67,15 @@ fn two_level(n: i64, nc: i64) -> Pipeline {
 /// Compile the emitted C together with a main() that loads inputs from a
 /// binary file and writes the output grid; run it; return the output grid.
 fn run_c(c_src: &str, fn_name: &str, inputs: &[(&str, &[f64])], out_len: usize) -> Vec<f64> {
-    let dir = std::env::temp_dir().join(format!("polymg_cgen_{}", std::process::id()));
+    // one directory per call: the tests run in parallel threads of one
+    // process, and shared file names let one test's `cc` rewrite the
+    // binary another is executing (ETXTBSY) or swap its output file
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "polymg_cgen_{}_{call}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let c_path = dir.join("gen.c");
     let bin_path = dir.join("gen.bin");

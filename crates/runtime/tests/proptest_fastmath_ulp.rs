@@ -11,10 +11,12 @@
 //! magnitude, computed through the same kernel machinery with every
 //! coefficient, input, and boundary replaced by its absolute value.
 //!
-//! Each case runs the scalar-specialized tier and the fast-math tier
+//! Each case runs the exact lane-safe tier and the fast-math tier
 //! (unblocked and with a deliberately tiny cache block so the blocked
 //! nests fire at test extents) over randomized shapes and asserts the
-//! per-point difference stays under the magnitude-scaled bound.
+//! per-point difference stays under the magnitude-scaled bound. Shapes the
+//! classifier tags `Generic` are included: they run the same const-arity
+//! row kernels, so fast-math reaches them too.
 
 use gmg_ir::expr::Access;
 use gmg_ir::{LinearForm, ParityPattern, Tap};
@@ -96,7 +98,7 @@ fn run_sel(
     buf
 }
 
-/// Run the scalar tier and the fast-math tier (xblock ∈ {0, tiny}) and
+/// Run the exact tier and the fast-math tier (xblock ∈ {0, tiny}) and
 /// assert every point differs by at most `(2n+6)·ε` of the per-point term
 /// magnitude — the reassociation slack of an `n`-term dot product, with
 /// headroom for the magnitude pass's own rounding.
@@ -127,13 +129,13 @@ fn assert_fastmath_within_bound(
         )
     };
 
-    let scalar = run(KernelSel::scalar(tag), kernel, &input, boundary);
-    let mag = run(
-        KernelSel::scalar(tag),
-        &abs_twin(kernel),
-        &abs_input,
-        boundary.abs(),
-    );
+    let exact_sel = KernelSel {
+        impl_tag: tag,
+        tier: KernelTier::LaneSafe,
+        xblock: 0,
+    };
+    let exact = run(exact_sel, kernel, &input, boundary);
+    let mag = run(exact_sel, &abs_twin(kernel), &abs_input, boundary.abs());
 
     let ntaps = kernel
         .cases
@@ -153,7 +155,7 @@ fn assert_fastmath_within_bound(
             xblock,
         };
         let fast = run(sel, kernel, &input, boundary);
-        for (i, ((a, b), m)) in fast.iter().zip(&scalar).zip(&mag).enumerate() {
+        for (i, ((a, b), m)) in fast.iter().zip(&exact).zip(&mag).enumerate() {
             let tol = tol_scale * m;
             prop_assert!(
                 (a - b).abs() <= tol,
@@ -267,6 +269,37 @@ proptest! {
         assert_fastmath_within_bound(
             &kernel, expect, 3, &region,
             &[0, 0, 0], &[e, e, e], &[0, 0, 0], &[e, e, e], boundary, seed,
+        )?;
+    }
+
+    /// 2-D stencils with a tap at offset ±3: wider than any classified
+    /// family, so tagged `Generic`, yet constant and within the arity
+    /// table — the fast-math kernels run them.
+    #[test]
+    fn fastmath_generic_shape_within_ulp_bound(
+        e in 12i64..24,
+        coeffs in proptest::collection::vec(-1.0f64..1.0, 7),
+        bias in -1.0f64..1.0,
+        boundary in -1.0f64..1.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let offsets: [[i64; 2]; 7] = [[0, 0], [0, 1], [0, -1], [0, 3], [0, -3], [1, 0], [-1, 0]];
+        let taps: Vec<Tap> = offsets
+            .iter()
+            .zip(&coeffs)
+            .map(|(o, &c)| unit_tap(o, c))
+            .collect();
+        let kernel = StageKernel {
+            cases: vec![KernelCase {
+                pattern: ParityPattern::any(2),
+                body: KernelBody::Linear(LinearForm { bias, taps }),
+            }],
+        };
+        // x reads reach ±3, so the region keeps three ghost columns
+        let region = BoxDomain::new(vec![Interval::new(1, e - 2), Interval::new(3, e - 4)]);
+        assert_fastmath_within_bound(
+            &kernel, KernelImpl::Generic, 2, &region,
+            &[0, 0], &[e, e], &[0, 0], &[e, e], boundary, seed,
         )?;
     }
 

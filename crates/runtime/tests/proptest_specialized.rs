@@ -1,25 +1,23 @@
-//! Specialized-kernel equivalence fuzzing: every [`KernelImpl`] family must
+//! Row-kernel equivalence fuzzing: every [`KernelImpl`] family must
 //! produce *bitwise identical* results to the expression interpreter over
 //! randomized extents, origins, ghost widths, boundaries, and coefficients.
-//! (The specialized row kernels and the generic tap loop accumulate in the
+//! (The const-arity row kernels and the generic tap loop accumulate in the
 //! same order, and the interpreter twin is built term-by-term in that same
 //! order, so exact equality is the contract — no tolerance.)
 //!
-//! The lane-safe SIMD tier (PR 8) is held to the same contract: it
-//! vectorizes *across* output points, so each lane still accumulates its
-//! own point in generic tap order, and cache blocking of the unit-stride
-//! dimension only re-orders which points are visited when — never the
-//! arithmetic within one. Every case below therefore also runs
-//! `KernelTier::LaneSafe` (unblocked and with a deliberately tiny block so
+//! The lane-safe tier vectorizes *across* output points, so each lane
+//! still accumulates its own point in generic tap order, and cache
+//! blocking of the unit-stride dimension only re-orders which points are
+//! visited when — never the arithmetic within one. Every case below runs
+//! `KernelTier::LaneSafe` unblocked and with a deliberately tiny block (so
 //! the blocked nests actually fire at test extents) and asserts exact
-//! equality against the same interpreter twin.
+//! equality against the interpreter twin. Which ISA body runs is the
+//! host's (or `GMG_SIMD_ISA`'s) choice; CI runs this suite on each.
 
 use gmg_ir::expr::{Access, AxisAccess, Expr, Operand};
 use gmg_ir::{LinearForm, Parity, ParityPattern, Tap};
 use gmg_poly::{BoxDomain, Interval};
-use gmg_runtime::kernel::{
-    execute_stage, execute_stage_impl, execute_stage_sel, KernelInput, Space, SpaceMut,
-};
+use gmg_runtime::kernel::{execute_stage_sel, KernelInput, Space, SpaceMut};
 use polymg::specialize::classify;
 use polymg::{KernelBody, KernelCase, KernelImpl, KernelSel, KernelTier, StageKernel};
 use proptest::prelude::*;
@@ -59,9 +57,9 @@ fn fill(seed: u64, data: &mut [f64]) {
     }
 }
 
-/// Run `kernel` (specialized, tag from the classifier) and its interpreter
-/// twin over `region`, both reading one input space, and assert bitwise
-/// equality of the two output buffers.
+/// Run `kernel` (tag from the classifier) and its interpreter twin over
+/// `region`, both reading one input space, and assert bitwise equality of
+/// the two output buffers.
 #[allow(clippy::too_many_arguments)]
 fn assert_twin_bitwise(
     kernel: &StageKernel,
@@ -83,21 +81,6 @@ fn assert_twin_bitwise(
     let mut input = vec![0.0; in_len];
     fill(seed, &mut input);
 
-    let mut spec_buf = vec![0.0; out_len];
-    {
-        let mut out = SpaceMut {
-            data: &mut spec_buf,
-            origin: out_origin,
-            extents: out_extents,
-        };
-        let ins = [KernelInput::Grid(Space {
-            data: &input,
-            origin: in_origin,
-            extents: in_extents,
-        })];
-        execute_stage_impl(tag, kernel, region, &mut out, &ins, &[boundary]);
-    }
-
     let twin = interpreter_twin(kernel);
     let mut interp_buf = vec![0.0; out_len];
     {
@@ -111,24 +94,19 @@ fn assert_twin_bitwise(
             origin: in_origin,
             extents: in_extents,
         })];
-        execute_stage(&twin, region, &mut out, &ins, &[boundary]);
-    }
-
-    for (i, (a, b)) in spec_buf.iter().zip(&interp_buf).enumerate() {
-        prop_assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{:?} diverged from the interpreter at flat index {} ({} vs {})",
-            tag,
-            i,
-            a,
-            b
+        execute_stage_sel(
+            KernelSel::generic(),
+            &twin,
+            region,
+            &mut out,
+            &ins,
+            &[boundary],
         );
     }
 
-    // lane-safe SIMD tier: same exact-equality contract, unblocked and with
-    // a tiny cache block (test extents are far below the production
-    // UNIT_BLOCK_MIN, so only a tiny block exercises the blocked nests)
+    // lane-safe tier, unblocked and with a tiny cache block (test extents
+    // are far below the production UNIT_BLOCK_MIN, so only a tiny block
+    // exercises the blocked nests)
     for xblock in [0usize, 4] {
         let mut lane_buf = vec![0.0; out_len];
         {

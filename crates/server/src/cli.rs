@@ -7,14 +7,14 @@
 //!                    [--engine-threads N] [--tuned FILE]
 //!                    [--tune-online] [--tune-budget N] [--tune-seed N]
 //!                    [--coalesce-window-ms N] [--max-batch N]
-//!                    [--fast-math] [--no-simd]
+//!                    [--fast-math]
 //!                    [--chaos-seed N] [--chaos-rate R] [--profile OUT.json]
 //!
 //! polymg-cli loadgen [--addr H:P | --port N | --port-file PATH]
 //!                    [--connections N] [--requests N] [--tenants N]
 //!                    [--retries N] [--batch N] [--idle N]
 //!                    [--scenario NAME[,NAME…]] [--mixed-precision]
-//!                    [--fast-math] [--no-simd]
+//!                    [--fast-math]
 //!                    [--no-shutdown] [-o OUT.json]
 //!
 //! polymg-cli stats   [--addr H:P | --port N | --port-file PATH]
@@ -30,10 +30,10 @@
 //! OP_STATS round-trip; `--shutdown` drains the server afterwards) — the
 //! ci gate polls it to wait for tuner trials without killing the server.
 //!
-//! `--fast-math` / `--no-simd` select the server's kernel tier (see
-//! `DESIGN.md` §16). Loadgen takes the same flags because its verification
-//! is bitwise: pass to loadgen exactly what the server was started with so
-//! the in-process reference solves run the same tier.
+//! `--fast-math` selects the server's reassociating kernel tier (see
+//! `DESIGN.md` §16). Loadgen takes the same flag because its verification
+//! is bitwise: pass it to loadgen exactly when the server was started with
+//! it, so the in-process reference solves run the same tier.
 //!
 //! `--scenario NAME` (repeatable, or comma-separated: `varcoef`, `fmg`,
 //! `rbgs`, `chebyshev`, `constant`) appends scenario requests to the load
@@ -173,7 +173,6 @@ pub fn serve_main(args: &[String]) -> i32 {
                         .map_err(|_| "--tune-seed needs a number".to_string())?
                 }
                 "--fast-math" => cfg.fast_math = true,
-                "--no-simd" => cfg.simd = false,
                 "--chaos-seed" => {
                     chaos_seed = Some(
                         flag_value(args, &mut i, "--chaos-seed")?
@@ -328,7 +327,6 @@ pub fn loadgen_main(args: &[String]) -> i32 {
                 }
                 "--mixed-precision" => mixed = true,
                 "--fast-math" => opts.fast_math = true,
-                "--no-simd" => opts.simd = false,
                 "--no-shutdown" => opts.shutdown = false,
                 "--shutdown" => opts.shutdown = true,
                 "-o" => out = Some(flag_value(args, &mut i, "-o")?.to_string()),

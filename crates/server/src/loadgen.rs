@@ -172,11 +172,10 @@ pub struct LoadgenOptions {
     pub idle: usize,
     /// Seed for backoff jitter (mixed with the connection index).
     pub backoff_seed: u64,
-    /// Kernel-tier knobs the *server under test* was started with. The
-    /// reference solves mirror them: verification is bitwise, so the
+    /// Fast-math knob the *server under test* was started with. The
+    /// reference solves mirror it: verification is bitwise, so the
     /// reference must run the exact same tier (`--fast-math` changes
     /// numerics; a default-tier reference would flag every response).
-    pub simd: bool,
     pub fast_math: bool,
     pub mix: Vec<MixItem>,
 }
@@ -193,7 +192,6 @@ impl Default for LoadgenOptions {
             batch: 0,
             idle: 0,
             backoff_seed: 0x676d675f6c67,
-            simd: true,
             fast_math: false,
             mix: default_mix(),
         }
@@ -411,7 +409,6 @@ struct Expected {
 fn compute_expected(
     mix: &[MixItem],
     batch: usize,
-    simd: bool,
     fast_math: bool,
 ) -> Result<Vec<Expected>, String> {
     mix.iter()
@@ -419,7 +416,6 @@ fn compute_expected(
         .map(|(mi, item)| {
             let (v0, f, _) = setup_poisson(&item.cfg);
             let mut opts = PipelineOptions::for_variant(item.variant, item.cfg.ndims);
-            opts.simd = simd;
             opts.fast_math = fast_math;
             let coeff = if item.scenario.needs_coeff() {
                 coeff_field(&item.cfg)
@@ -734,12 +730,7 @@ fn drive_connection(
 
 /// Drive the configured load against `opts.addr` and verify every response.
 pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
-    let expected = Arc::new(compute_expected(
-        &opts.mix,
-        opts.batch,
-        opts.simd,
-        opts.fast_math,
-    )?);
+    let expected = Arc::new(compute_expected(&opts.mix, opts.batch, opts.fast_math)?);
     let counts = Arc::new(SharedCounts::default());
 
     // Idle fleet: fill before the hot phase starts (setup cost must not

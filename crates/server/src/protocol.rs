@@ -21,6 +21,7 @@
 use std::io::{Read, Write};
 
 use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
+use gmg_multigrid::scenario::first_bad_coeff;
 use polymg::{Scenario, Variant};
 
 /// Hard bound on a frame payload (64 MiB — a 2047² 2-D grid pair with
@@ -298,6 +299,16 @@ impl<'a> Cursor<'a> {
             .collect())
     }
 
+    /// `n` f64s of a grid the solver reads: the first non-finite value is
+    /// rejected by index.
+    fn finite_f64_vec(&mut self, n: usize, what: &str) -> Result<Vec<f64>, String> {
+        let v = self.f64_vec(n, what)?;
+        match v.iter().position(|x| !x.is_finite()) {
+            Some(i) => Err(format!("{what}[{i}] = {} is not finite", v[i])),
+            None => Ok(v),
+        }
+    }
+
     fn done(&self) -> Result<(), String> {
         if self.pos != self.buf.len() {
             return Err(format!(
@@ -459,8 +470,8 @@ impl SolveRequest {
                 "grid length {elems} does not match (n+2)^ndims = {expect}"
             ));
         }
-        let v = c.f64_vec(elems, "v")?;
-        let f = c.f64_vec(elems, "f")?;
+        let v = c.finite_f64_vec(elems, "v")?;
+        let f = c.finite_f64_vec(elems, "f")?;
         let (scenario, mixed, coeff) = if scenario_frame {
             let scenario = c.u8("scenario")?;
             let mixed = match c.u8("mixed")? {
@@ -475,6 +486,9 @@ impl SolveRequest {
                 ));
             }
             let coeff = c.f64_vec(coeff_elems, "coeff")?;
+            if let Some((i, x)) = first_bad_coeff(&coeff) {
+                return Err(format!("coeff[{i}] = {x} must be finite and > 0"));
+            }
             let sc = Scenario::from_wire_id(scenario).map_err(|e| e.to_string())?;
             sc.validate(mixed, !coeff.is_empty())
                 .map_err(|e| e.to_string())?;
@@ -982,6 +996,40 @@ mod tests {
             req.scenario = sc.wire_id();
             let back = SolveRequest::decode_scenario(&req.encode_scenario()).expect("decode");
             assert_eq!(back.scenario_enum(), sc);
+        }
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_grids_and_bad_coefficients() {
+        // v and f must be finite on every solve opcode
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut req = small_request();
+            req.v[5] = bad;
+            let err = SolveRequest::decode(&req.encode()).unwrap_err();
+            assert!(err.contains("v[5]"), "{err}");
+            let err = SolveRequest::decode_scenario(&req.encode_scenario()).unwrap_err();
+            assert!(err.contains("v[5]"), "{err}");
+            let mut req = small_request();
+            req.f[7] = bad;
+            let batch = BatchSolveRequest {
+                reqs: vec![small_request(), req],
+            };
+            let err = BatchSolveRequest::decode(&batch.encode()).unwrap_err();
+            assert!(
+                err.contains("batch request 1") && err.contains("f[7]"),
+                "{err}"
+            );
+        }
+        // a coefficient grid must be finite and > 0 (the operator divides
+        // by it); the error names the first bad index
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut req = small_request();
+            req.scenario = Scenario::VarCoef.wire_id();
+            req.coeff = vec![1.0; req.v.len()];
+            req.coeff[11] = bad;
+            req.coeff[12] = bad;
+            let err = SolveRequest::decode_scenario(&req.encode_scenario()).unwrap_err();
+            assert!(err.contains("coeff[11]"), "{bad}: {err}");
         }
     }
 

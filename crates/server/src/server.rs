@@ -93,9 +93,6 @@ pub struct ServerConfig {
     /// trials on idle worker capacity, winners recorded into the shared
     /// tuned store (and persisted to its path). `None` disables the tuner.
     pub tuner: Option<TunerConfig>,
-    /// Enable the vectorized kernel tier (`--no-simd` clears it). Part of
-    /// every session's plan fingerprint.
-    pub simd: bool,
     /// Enable the reassociating fast-math kernel tier (`--fast-math`).
     /// Changes numerics, so it splits sessions and the plan cache.
     pub fast_math: bool,
@@ -131,7 +128,6 @@ impl Default for ServerConfig {
             chaos: None,
             tuned: None,
             tuner: None,
-            simd: true,
             fast_math: false,
             trace: Trace::disabled(),
             service_delay: None,
@@ -1034,7 +1030,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
                 config.chaos,
                 config.engine_threads,
                 workers,
-                config.simd,
                 config.fast_math,
             ),
             counters: ShardCounters::default(),

@@ -46,9 +46,8 @@ pub struct SessionManager {
     engine_threads: usize,
     /// Idle runners retained per session.
     max_idle: usize,
-    /// Kernel-tier knobs applied to every session's options (`--no-simd` /
-    /// `--fast-math`). Part of the session key via the plan fingerprint.
-    simd: bool,
+    /// Fast-math knob applied to every session's options (`--fast-math`).
+    /// Part of the session key via the plan fingerprint.
     fast_math: bool,
     pub session_hits: AtomicU64,
     pub session_misses: AtomicU64,
@@ -75,17 +74,15 @@ impl SessionManager {
         engine_threads: usize,
         max_idle: usize,
     ) -> SessionManager {
-        SessionManager::with_kernel_opts(tuned, chaos, engine_threads, max_idle, true, false)
+        SessionManager::with_kernel_opts(tuned, chaos, engine_threads, max_idle, false)
     }
 
-    /// [`new`](SessionManager::new) with explicit kernel-tier knobs
-    /// (`simd`, `fast_math`).
+    /// [`new`](SessionManager::new) with an explicit `fast_math` knob.
     pub fn with_kernel_opts(
         tuned: Option<TunedStore>,
         chaos: Option<ChaosOptions>,
         engine_threads: usize,
         max_idle: usize,
-        simd: bool,
         fast_math: bool,
     ) -> SessionManager {
         SessionManager::with_shared_store(
@@ -93,7 +90,6 @@ impl SessionManager {
             chaos,
             engine_threads,
             max_idle,
-            simd,
             fast_math,
         )
     }
@@ -106,7 +102,6 @@ impl SessionManager {
         chaos: Option<ChaosOptions>,
         engine_threads: usize,
         max_idle: usize,
-        simd: bool,
         fast_math: bool,
     ) -> SessionManager {
         SessionManager {
@@ -115,7 +110,6 @@ impl SessionManager {
             chaos,
             engine_threads: engine_threads.max(1),
             max_idle: max_idle.max(1),
-            simd,
             fast_math,
             session_hits: AtomicU64::new(0),
             session_misses: AtomicU64::new(0),
@@ -130,7 +124,6 @@ impl SessionManager {
     fn resolve_options(&self, cfg: &MgConfig, variant: Variant, pfp: u64) -> (PipelineOptions, bool) {
         let mut opts = PipelineOptions::for_variant(variant, cfg.ndims);
         opts.threads = self.engine_threads;
-        opts.simd = self.simd;
         opts.fast_math = self.fast_math;
         if let Some(store) = &self.tuned {
             let entry = store.lock().unwrap().lookup(pfp, cfg.ndims).cloned();
@@ -139,10 +132,7 @@ impl SessionManager {
                 // but a session that opted into fast-math never downgrades:
                 // its clients verify against a fast-math reference
                 opts = entry.config.apply(&opts);
-                if self.fast_math {
-                    opts.simd = true;
-                    opts.fast_math = true;
-                }
+                opts.fast_math |= self.fast_math;
                 return (opts, true);
             }
         }
@@ -173,6 +163,13 @@ impl SessionManager {
         // compile-style error, never a panic.
         if let Err(e) = spec.scenario.validate(spec.mixed, coeff.is_some()) {
             return Err(vec![e.to_string()]);
+        }
+        // a warm runner rebinds `Ainv` from this grid below: reject what
+        // the reciprocal would turn into inf/NaN
+        if let Some((i, x)) = coeff.and_then(gmg_multigrid::scenario::first_bad_coeff) {
+            return Err(vec![format!(
+                "coefficient {i} is {x}; it must be finite and > 0"
+            )]);
         }
         let cfg = scenario_config(cfg, spec.scenario);
         let pipeline = build_scenario_pipeline(&cfg, spec.scenario);
@@ -356,18 +353,36 @@ mod tests {
 
     #[test]
     fn kernel_tier_knobs_split_sessions() {
-        // fast_math (and simd) participate in the plan fingerprint, so a
-        // fast-math server and a default server must not share sessions.
+        // fast_math participates in the plan fingerprint, so a fast-math
+        // server and a default server must not share sessions.
         let default_mgr = SessionManager::new(None, None, 1, 4);
-        let fm_mgr = SessionManager::with_kernel_opts(None, None, 1, 4, true, true);
-        let nosimd_mgr = SessionManager::with_kernel_opts(None, None, 1, 4, false, false);
+        let fm_mgr = SessionManager::with_kernel_opts(None, None, 1, 4, true);
         let cfg = cfg2d();
         let a = default_mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
         let b = fm_mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
-        let c = nosimd_mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
         assert_ne!(a.key, b.key);
-        assert_ne!(a.key, c.key);
-        assert_ne!(b.key, c.key);
+    }
+
+    #[test]
+    fn bad_coefficient_grids_are_rejected_before_binding() {
+        use polymg::Scenario;
+        let mgr = SessionManager::new(None, None, 1, 4);
+        let cfg = cfg2d();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut a = gmg_multigrid::scenario::coeff_field(&cfg);
+            a[3] = bad;
+            let errs = mgr
+                .acquire_scenario(
+                    &cfg,
+                    Variant::OptPlus,
+                    ScenarioSpec::new(Scenario::VarCoef),
+                    Some(&a),
+                )
+                .err()
+                .expect("bad coefficient must not lease a runner");
+            assert!(errs[0].contains("coefficient 3"), "{bad}: {errs:?}");
+        }
+        assert_eq!(mgr.len(), 0, "no session is created for a rejected grid");
     }
 
     #[test]

@@ -128,7 +128,7 @@ fn online_tuning_records_winner_and_stays_bitwise_clean() {
     assert!(entry.metric > 0.0, "metric must be a measured time");
 
     // ...and traffic after convergence still verifies bitwise (tile, group,
-    // band and the lane-safe/scalar tiers are schedule-only).
+    // band and the lane-safe tier are schedule-only).
     let report = loadgen_wave(&addr);
     assert!(
         report.is_clean(),

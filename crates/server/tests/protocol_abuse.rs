@@ -178,6 +178,76 @@ fn malformed_frames_never_kill_the_server() {
         }
     }
 
+    // 8. non-finite grids and bad coefficients on every solve opcode: a
+    // typed BadRequest naming the first bad index, nothing admitted
+    {
+        use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
+        use gmg_server::{BatchSolveRequest, SolveRequest};
+
+        let cfg = MgConfig::new(2, 15, CycleType::V, SmoothSteps::s444());
+        let len = 17 * 17;
+        let mk = || {
+            SolveRequest::from_config(
+                &cfg,
+                polymg::Variant::OptPlus,
+                0,
+                1,
+                vec![0.0; len],
+                vec![1.0; len],
+            )
+        };
+        let mut frames: Vec<(String, u8, Vec<u8>, &str)> = Vec::new();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut req = mk();
+            req.scenario = polymg::Scenario::VarCoef.wire_id();
+            req.coeff = vec![1.0; len];
+            req.coeff[20] = bad;
+            frames.push((
+                format!("coeff {bad}"),
+                protocol::OP_SOLVE_SCENARIO,
+                req.encode_scenario(),
+                "coeff[20]",
+            ));
+        }
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut req = mk();
+            req.v[4] = bad;
+            frames.push((
+                format!("solve v {bad}"),
+                protocol::OP_SOLVE,
+                req.encode(),
+                "v[4]",
+            ));
+            let mut req = mk();
+            req.f[9] = bad;
+            frames.push((
+                format!("scenario f {bad}"),
+                protocol::OP_SOLVE_SCENARIO,
+                req.encode_scenario(),
+                "f[9]",
+            ));
+            let batch = BatchSolveRequest {
+                reqs: vec![mk(), req],
+            };
+            frames.push((
+                format!("batch f {bad}"),
+                protocol::OP_SOLVE_BATCH,
+                batch.encode(),
+                "f[9]",
+            ));
+        }
+        for (what, opcode, payload, needle) in frames {
+            let mut s = connect(addr);
+            protocol::write_frame(&mut s, opcode, &payload).unwrap();
+            let f = protocol::read_frame(&mut s).expect("error frame");
+            assert_eq!(f.opcode, protocol::OP_ERROR, "{what}: expected OP_ERROR");
+            let (code, msg) = protocol::decode_error(&f.payload).unwrap();
+            assert_eq!(code, ErrorCode::BadRequest, "{what}: got {code:?}: {msg}");
+            assert!(msg.contains(needle), "{what}: {msg}");
+        }
+        assert_alive(addr);
+    }
+
     let snap = handle.snapshot();
     assert!(
         snap.protocol_errors >= 9,

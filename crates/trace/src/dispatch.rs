@@ -1,7 +1,7 @@
 //! Process-wide kernel-dispatch histogram.
 //!
 //! `gmg-runtime::kernel` classifies every kernel-case execution into one of
-//! five dispatch classes and bumps one relaxed atomic here — once per case
+//! six dispatch classes and bumps one relaxed atomic here — once per case
 //! execution (i.e. per stage per tile), not per row, so the cost is noise.
 //! Global statics (rather than per-`Trace` state) keep the hot path free of
 //! any handle indirection; `reset()` lets harness sections scope the counts.
@@ -13,13 +13,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Kind {
-    /// Unit-stride row kernel with the tap count fully unrolled.
+    /// Unit-stride const-arity row kernel (≤ 28 constant taps): the
+    /// host ISA's AVX-512/AVX2 body or the plain unrolled loop.
     UnitUnrolled = 0,
-    /// Unit-stride kernel factored by coefficient spans (high tap counts).
+    /// Unit-stride generic loop factored by coefficient spans (> 28 taps).
     UnitFactored = 1,
-    /// Unit-stride generic per-tap fallback loop.
+    /// Unit-stride generic per-tap loop (> 28 taps that do not factor).
     UnitFallback = 2,
-    /// Strided row kernel (restriction / interpolation accesses).
+    /// Strided row (restriction / interpolation accesses): the const-arity
+    /// strided loop, or the generic per-tap loop beyond 28 taps.
     Strided = 3,
     /// Expression-tree interpreter (no linearized form).
     Interpreter = 4,
@@ -114,12 +116,14 @@ pub fn impl_snapshot() -> [u64; IMPLS] {
     }
 }
 
-/// Number of implementation tiers (mirrors `polymg::specialize::KernelTier`;
-/// index 0 is the scalar tier).
+/// Number of tier buckets: index 0 counts cases that ran the generic tap
+/// loop or the interpreter, indices 1.. mirror
+/// `polymg::specialize::KernelTier::index()` for cases that ran a
+/// const-arity row kernel.
 pub const TIERS: usize = 3;
 
-/// Labels indexed by `KernelTier::index()`.
-pub const TIER_LABELS: [&str; TIERS] = ["scalar", "lane_safe", "fast_math"];
+/// Labels indexed like [`TIERS`]' buckets.
+pub const TIER_LABELS: [&str; TIERS] = ["generic", "lane_safe", "fast_math"];
 
 #[cfg(feature = "capture")]
 static TIER_COUNTS: [AtomicU64; TIERS] = [const { AtomicU64::new(0) }; TIERS];

@@ -5,7 +5,7 @@
 //! * `gmg-runtime::exec` records per-stage / per-tile timing spans through
 //!   interned [`StageHandle`]s (lock-free atomic adds on the hot path);
 //! * `gmg-runtime::kernel` counts which dispatch class fired for each
-//!   kernel case (specialized unit-stride unroll vs. coefficient-factored
+//!   kernel case (const-arity unit-stride kernel vs. coefficient-factored
 //!   vs. generic tap loop vs. strided vs. interpreter) via the global
 //!   [`dispatch`] histogram;
 //! * `gmg-runtime::pool` / `arena` feed allocator reuse statistics;
@@ -831,7 +831,7 @@ pub struct Report {
     /// Per-`KernelImpl` case-execution histogram, indexed like
     /// [`dispatch::IMPL_LABELS`].
     pub kernel_impls: [u64; dispatch::IMPLS],
-    /// Per-`KernelTier` case-execution histogram (scalar-unrolled vs
+    /// Per-tier case-execution histogram (generic loop / interpreter vs
     /// lane-safe vs fast-math), indexed like [`dispatch::TIER_LABELS`].
     /// Shares its total with `kernel_impls`.
     pub kernel_tiers: [u64; dispatch::TIERS],

@@ -34,7 +34,7 @@ fn config(ndims: usize, cycle: CycleType) -> MgConfig {
     cfg
 }
 
-fn options(variant: Variant, ndims: usize, specialize: bool) -> PipelineOptions {
+fn options(variant: Variant, ndims: usize) -> PipelineOptions {
     let mut opts = PipelineOptions::for_variant(variant, ndims);
     opts.tile_sizes = if ndims == 2 {
         vec![8, 16]
@@ -42,7 +42,6 @@ fn options(variant: Variant, ndims: usize, specialize: bool) -> PipelineOptions 
         vec![4, 4, 8]
     };
     opts.threads = 2;
-    opts.specialize = specialize;
     opts
 }
 
@@ -108,27 +107,25 @@ fn check_case(
     ndims: usize,
     cycle: CycleType,
     variant: Variant,
-    specialize: bool,
     scenario: Scenario,
     seed: u64,
     rate: f64,
     sites: u8,
 ) -> Result<(), String> {
     let cfg = config(ndims, cycle);
-    let clean = reference(&cfg, options(variant, ndims, specialize), scenario);
+    let clean = reference(&cfg, options(variant, ndims), scenario);
 
-    let mut opts = options(variant, ndims, specialize);
+    let mut opts = options(variant, ndims);
     opts.chaos = Some(ChaosOptions::new(seed, rate).with_sites(sites & SITE_ALL));
     let (v, all_ok) = chaos_run(&cfg, opts, scenario)
         .map_err(|p| format!("panic escaped Engine::run under chaos: {p}"))?;
     if all_ok && v != clean {
         return Err(format!(
             "every fault was recovered (all cycles Ok) but the result diverged \
-             from the fault-free run ({} {:?} {:?} {scenario:?} seed={seed} \
+             from the fault-free run ({} {:?} {scenario:?} seed={seed} \
              rate={rate} sites={sites:#07b})",
             cfg.tag(),
             variant,
-            specialize,
         ));
     }
     Ok(())
@@ -144,7 +141,6 @@ proptest! {
         ndims_sel in 0u8..2,
         cycle_sel in 0u8..2,
         variant_sel in 0u8..2,
-        spec_sel in 0u8..2,
         scenario_sel in 0u8..4,
         seed in 0u64..1_000_000_000,
         rate in 0.0f64..0.5,
@@ -153,12 +149,11 @@ proptest! {
         let ndims = if ndims_sel == 0 { 2 } else { 3 };
         let cycle = if cycle_sel == 0 { CycleType::V } else { CycleType::W };
         let variant = if variant_sel == 0 { Variant::OptPlus } else { Variant::DtileOptPlus };
-        let specialize = spec_sel == 1;
         // Fmg shares the constant per-cycle pipeline, so the interesting
         // chaos surfaces are the other scenario operators/smoothers.
         let scenario = [Scenario::Constant, Scenario::VarCoef, Scenario::Rbgs, Scenario::Chebyshev]
             [scenario_sel as usize];
-        if let Err(msg) = check_case(ndims, cycle, variant, specialize, scenario, seed, rate, sites) {
+        if let Err(msg) = check_case(ndims, cycle, variant, scenario, seed, rate, sites) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -175,7 +170,7 @@ fn fixed_seeds_gate() {
             (2, Variant::OptPlus, Scenario::VarCoef),
             (2, Variant::OptPlus, Scenario::Rbgs),
         ] {
-            check_case(ndims, CycleType::V, variant, true, scenario, seed, 0.2, SITE_ALL)
+            check_case(ndims, CycleType::V, variant, scenario, seed, 0.2, SITE_ALL)
                 .unwrap_or_else(|msg| panic!("seed {seed}: {msg}"));
         }
     }

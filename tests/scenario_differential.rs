@@ -5,10 +5,10 @@
 //!   the external grid `A`; with `a ≡ 1` every scale (and the Jacobi
 //!   update's division by `a`) is an IEEE identity, so the result must
 //!   match the structural twin — the same split-operator stage layout
-//!   *without* the coefficient input, which lowers to the constant
-//!   specialized/SIMD kernels — bit for bit, across variants and kernel
-//!   tiers. Any drift means the coefficient path computes a different
-//!   operator, not a rounding difference.
+//!   *without* the coefficient input, which lowers to the const-arity
+//!   row kernels — bit for bit, across variants and (run by `ci.sh` under
+//!   each `GMG_SIMD_ISA`) ISA branches. Any drift means the coefficient
+//!   path computes a different operator, not a rounding difference.
 //! * **mixed-precision converges.** The f32 smoothing tier is an opt-in
 //!   speed/accuracy trade: it must still drive the f64 residual down at a
 //!   multigrid-like rate on the paper's Poisson problem (the floor it
@@ -36,11 +36,9 @@ fn config(ndims: usize, cycle: CycleType) -> MgConfig {
     cfg
 }
 
-fn options(variant: Variant, ndims: usize, specialize: bool, simd: bool) -> PipelineOptions {
+fn options(variant: Variant, ndims: usize) -> PipelineOptions {
     let mut opts = PipelineOptions::for_variant(variant, ndims);
     opts.threads = 2;
-    opts.specialize = specialize;
-    opts.simd = simd;
     opts
 }
 
@@ -53,8 +51,6 @@ fn check_ones_twin(
     ndims: usize,
     cycle: CycleType,
     variant: Variant,
-    specialize: bool,
-    simd: bool,
 ) -> Result<(), String> {
     let cfg = config(ndims, cycle);
     let (v0, f, _) = setup_poisson(&cfg);
@@ -62,7 +58,7 @@ fn check_ones_twin(
     let mut var = scenario_runner(
         &cfg,
         ScenarioSpec::new(Scenario::VarCoef),
-        options(variant, ndims, specialize, simd),
+        options(variant, ndims),
         "ones",
         Some(ones_field(&cfg)),
     )
@@ -71,7 +67,7 @@ fn check_ones_twin(
     let mut twin = DslRunner::from_pipeline(
         &twin_pipeline,
         &cfg,
-        options(variant, ndims, specialize, simd),
+        options(variant, ndims),
         "twin",
     )
     .map_err(|e| format!("twin compile failed: {e:?}"))?;
@@ -86,7 +82,7 @@ fn check_ones_twin(
     if bits(&vv) != bits(&vt) {
         return Err(format!(
             "varcoef with a=1 diverged bitwise from the constant twin \
-             ({} {cycle:?} {variant:?} specialize={specialize} simd={simd})",
+             ({} {cycle:?} {variant:?})",
             cfg.tag(),
         ));
     }
@@ -96,33 +92,30 @@ fn check_ones_twin(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random rank × cycle shape × variant × kernel tier: the coefficient
+    /// Random rank × cycle shape × variant: the coefficient
     /// path with `a ≡ 1` is bitwise the constant twin.
     #[test]
     fn varcoef_ones_matches_constant_twin_bitwise(
         ndims_sel in 0u8..2,
         cycle_sel in 0u8..2,
         variant_sel in 0u8..2,
-        spec_sel in 0u8..2,
-        simd_sel in 0u8..2,
     ) {
         let ndims = if ndims_sel == 0 { 2 } else { 3 };
         let cycle = if cycle_sel == 0 { CycleType::V } else { CycleType::W };
         let variant = if variant_sel == 0 { Variant::OptPlus } else { Variant::Opt };
-        if let Err(msg) = check_ones_twin(ndims, cycle, variant, spec_sel == 1, simd_sel == 1) {
+        if let Err(msg) = check_ones_twin(ndims, cycle, variant) {
             prop_assert!(false, "{}", msg);
         }
     }
 }
 
-/// Deterministic tier sweep of the same pin (CI-friendly fixed cases).
+/// Deterministic cases of the same pin (CI-friendly; `ci.sh` reruns this
+/// suite under each `GMG_SIMD_ISA` branch).
 #[test]
 fn varcoef_ones_twin_fixed_tiers() {
-    for &(specialize, simd) in &[(false, false), (true, false), (true, true)] {
-        for ndims in [2usize, 3] {
-            check_ones_twin(ndims, CycleType::V, Variant::OptPlus, specialize, simd)
-                .unwrap_or_else(|msg| panic!("{msg}"));
-        }
+    for ndims in [2usize, 3] {
+        check_ones_twin(ndims, CycleType::V, Variant::OptPlus)
+            .unwrap_or_else(|msg| panic!("{msg}"));
     }
 }
 
@@ -137,7 +130,7 @@ fn varcoef_field_changes_the_answer() {
         let mut r = scenario_runner(
             &cfg,
             ScenarioSpec::new(Scenario::VarCoef),
-            options(Variant::OptPlus, 2, false, true),
+            options(Variant::OptPlus, 2),
             "field",
             Some(coeff),
         )
